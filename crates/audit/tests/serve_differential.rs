@@ -12,6 +12,7 @@
 use cubefit_core::{oracle, Consolidator, CubeFit, CubeFitConfig, Load, Tenant, TenantId};
 use cubefit_service::{PlacementService, Request, ServiceConfig};
 use cubefit_sim::serve::{run_serve, ServeConfig};
+use cubefit_sim::RunOptions;
 use cubefit_telemetry::Recorder;
 use proptest::prelude::*;
 
@@ -156,7 +157,7 @@ fn storm_runs_end_oracle_clean_across_seeds() {
             s.duration_ms = 1_500.0;
             s
         });
-        let run = run_serve(config).expect("serve runs");
+        let run = run_serve(config, &RunOptions::default()).expect("serve runs");
         assert_eq!(run.report.audit_divergences, 0, "seed {seed}");
         assert_eq!(
             run.report.offered,

@@ -10,28 +10,19 @@
 use cubefit_bench::write_json;
 use cubefit_bench::Mode;
 use cubefit_defrag::MigrationBudget;
-use cubefit_sim::churn::{run_churn_consolidator, ChurnConfig};
+use cubefit_sim::lifecycle::{self, LifecycleConfig, RunOptions};
 use cubefit_sim::report::TextTable;
-use cubefit_sim::{AlgorithmSpec, DistributionSpec};
+use cubefit_sim::AlgorithmSpec;
 use cubefit_telemetry::Recorder;
 
 /// Builds the seeded fragmentation scenario: γ = 2 CubeFit under 40%
 /// departures and no failures, which strands low-fill servers.
-fn scenario(ops: usize) -> ChurnConfig {
-    ChurnConfig {
-        algorithm: AlgorithmSpec::CubeFit { gamma: 2, classes: 10 },
-        distribution: DistributionSpec::Uniform { min: 1, max: 15 },
-        ops,
-        seed: 17,
+fn scenario(ops: u64) -> LifecycleConfig {
+    LifecycleConfig {
         departure_percent: 40,
         failure_percent: 0,
         max_failures: 1,
-        audit: false,
-        defrag_every: 0,
-        defrag_budget: MigrationBudget::default(),
-        defrag_objective: cubefit_defrag::DefragObjective::Bins,
-        drift: None,
-        rent: None,
+        ..LifecycleConfig::churn(AlgorithmSpec::CubeFit { gamma: 2, classes: 10 }, ops, 17)
     }
 }
 
@@ -63,8 +54,8 @@ fn main() {
     for &budget_moves in budgets {
         // Re-run the seeded scenario so every budget sees the identical
         // fragmented placement.
-        let (_report, mut consolidator) =
-            run_churn_consolidator(&config, Recorder::disabled()).expect("churn scenario runs");
+        let (_, mut consolidator) =
+            lifecycle::run(&config, &RunOptions::default()).expect("churn scenario runs");
         let budget = match budget_moves {
             Some(moves) => MigrationBudget::moves(moves),
             None => MigrationBudget::unlimited(),

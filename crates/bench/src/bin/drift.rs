@@ -11,34 +11,26 @@
 use cubefit_bench::write_json;
 use cubefit_bench::Mode;
 use cubefit_defrag::MigrationBudget;
-use cubefit_sim::churn::{run_churn, ChurnConfig, DriftConfig};
+use cubefit_sim::lifecycle::{self, DriftConfig, LifecycleConfig, RunOptions};
 use cubefit_sim::report::TextTable;
-use cubefit_sim::{AlgorithmSpec, DistributionSpec};
+use cubefit_sim::AlgorithmSpec;
 use cubefit_workload::DriftProfile;
 
 /// The seeded drift scenario: γ = 2 CubeFit under flash-crowd drift
 /// (bursts of +20 clients, decaying back to baseline) with no failures, so
 /// residual risk is attributable to drift alone.
-fn scenario(ops: usize, budget: Option<MigrationBudget>) -> ChurnConfig {
-    ChurnConfig {
-        algorithm: AlgorithmSpec::CubeFit { gamma: 2, classes: 5 },
-        distribution: DistributionSpec::Uniform { min: 1, max: 15 },
-        ops,
-        seed: 31,
+fn scenario(ops: u64, budget: Option<MigrationBudget>) -> LifecycleConfig {
+    LifecycleConfig {
         departure_percent: 15,
         failure_percent: 0,
         max_failures: 1,
-        audit: false,
-        defrag_every: 0,
-        defrag_budget: MigrationBudget::default(),
-        defrag_objective: cubefit_defrag::DefragObjective::Bins,
-        rent: None,
         drift: Some(DriftConfig {
             profile: DriftProfile::Burst { magnitude: 20, probability: 0.01 },
             mitigate_every: budget.map_or(0, |_| 10),
             budget: budget.unwrap_or_default(),
             at_risk_slack: cubefit_core::monitor::DEFAULT_AT_RISK_SLACK,
         }),
+        ..LifecycleConfig::churn(AlgorithmSpec::CubeFit { gamma: 2, classes: 5 }, ops, 31)
     }
 }
 
@@ -84,7 +76,8 @@ fn main() {
                 None => MigrationBudget::unlimited(),
             }),
         );
-        let report = run_churn(&config).expect("drift scenario runs");
+        let (report, _) =
+            lifecycle::run(&config, &RunOptions::default()).expect("drift scenario runs");
         let label = match budget {
             None => "off".to_owned(),
             Some(Some(m)) => m.to_string(),

@@ -33,8 +33,8 @@
 
 use cubefit_bench::{write_json, Mode};
 use cubefit_durability::{FsyncPolicy, Journal};
+use cubefit_sim::lifecycle::{self, AuditPolicy, LifecycleConfig, LifecycleReport, RunOptions};
 use cubefit_sim::report::TextTable;
-use cubefit_sim::soak::{run_soak_journaled, run_soak_with, SoakConfig, SoakReport};
 use cubefit_sim::AlgorithmSpec;
 use cubefit_telemetry::{JsonlSink, Recorder};
 use std::time::Instant;
@@ -45,7 +45,7 @@ const MAX_OVERHEAD_PERCENT: f64 = 15.0;
 const REPS: u32 = 3;
 
 struct Measured {
-    report: SoakReport,
+    report: LifecycleReport,
     ops: u64,
     secs: f64,
     wal_bytes: u64,
@@ -57,7 +57,7 @@ impl Measured {
     }
 }
 
-fn soak_config(ops: u64, audit_every: u64) -> SoakConfig {
+fn soak_config(ops: u64, audit_every: u64) -> LifecycleConfig {
     // Exactly the shape BENCH_soak measures — sampled audits, defrag
     // epochs, and the 500-op trace/monitor checkpoint stride included —
     // so "overhead" means overhead on the soak throughput the repo
@@ -66,8 +66,9 @@ fn soak_config(ops: u64, audit_every: u64) -> SoakConfig {
     // ops would be checkpoint-bound, so journaled deployments run them
     // orders of magnitude rarer and pay with a longer (still small)
     // replay at recovery.
-    let mut config = SoakConfig::steady(AlgorithmSpec::CubeFit { gamma: 2, classes: 10 }, ops, 7);
-    config.audit_every = audit_every;
+    let mut config =
+        LifecycleConfig::steady(AlgorithmSpec::CubeFit { gamma: 2, classes: 10 }, ops, 7);
+    config.audit = AuditPolicy::Sampled { every: audit_every };
     config.defrag_every = 5_000;
     config.journal_checkpoint_every = Some(25_000);
     config
@@ -77,7 +78,8 @@ fn soak_config(ops: u64, audit_every: u64) -> SoakConfig {
 /// "soak throughput" is the traced loop, so overhead is measured against
 /// the configuration the trend gate already tracks.
 fn trace_recorder(tag: &str) -> (Recorder, std::path::PathBuf) {
-    let path = std::env::temp_dir().join(format!("cubefit-bench-journal-{tag}.jsonl"));
+    let path = std::env::temp_dir()
+        .join(format!("cubefit-bench-journal-{tag}-{}.jsonl", std::process::id()));
     let file = std::fs::File::create(&path).expect("trace file");
     (Recorder::with_sink(JsonlSink::new(std::io::BufWriter::new(file))), path)
 }
@@ -93,7 +95,8 @@ fn run_baseline_once(ops: u64, audit_every: u64) -> Measured {
     settle_disks();
     let (recorder, trace) = trace_recorder("baseline");
     let started = Instant::now();
-    let report = run_soak_with(&config, recorder.clone()).expect("baseline soak runs");
+    let options = RunOptions { recorder: recorder.clone(), ..RunOptions::default() };
+    let (report, _) = lifecycle::run(&config, &options).expect("baseline soak runs");
     recorder.flush().expect("trace flushes");
     let secs = started.elapsed().as_secs_f64();
     let _ = std::fs::remove_file(&trace);
@@ -103,14 +106,19 @@ fn run_baseline_once(ops: u64, audit_every: u64) -> Measured {
 
 fn run_journaled_once(ops: u64, audit_every: u64, policy: FsyncPolicy, tag: &str) -> Measured {
     let config = soak_config(ops, audit_every);
-    let dir = std::env::temp_dir().join(format!("cubefit-bench-journal-{tag}"));
+    let dir =
+        std::env::temp_dir().join(format!("cubefit-bench-journal-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     settle_disks();
     let journal = Journal::create(&dir, 2, policy).expect("journal creates");
     let (recorder, trace) = trace_recorder(tag);
     let started = Instant::now();
-    let report =
-        run_soak_journaled(&config, recorder.clone(), &journal, None).expect("journaled soak");
+    let options = RunOptions {
+        recorder: recorder.clone(),
+        journal: Some(journal.clone()),
+        ..RunOptions::default()
+    };
+    let (report, _) = lifecycle::run(&config, &options).expect("journaled soak");
     recorder.flush().expect("trace flushes");
     let secs = started.elapsed().as_secs_f64();
     let _ = std::fs::remove_file(&trace);

@@ -16,39 +16,37 @@ use cubefit_bench::write_json;
 use cubefit_bench::Mode;
 use cubefit_defrag::{DefragObjective, MigrationBudget};
 use cubefit_economics::{CostReport, RentConfig};
-use cubefit_sim::churn::{run_churn, ChurnConfig};
+use cubefit_sim::lifecycle::{self, AuditPolicy, LifecycleConfig, RunOptions};
 use cubefit_sim::report::TextTable;
-use cubefit_sim::{AlgorithmSpec, DistributionSpec};
+use cubefit_sim::AlgorithmSpec;
 
 /// The seeded fragmentation scenario shared by every cell: γ = 2 CubeFit
 /// under 40% departures, audited throughout, with the given renting
 /// terms and defrag policy.
-fn scenario(ops: usize, rent: RentConfig, every: usize, objective: DefragObjective) -> ChurnConfig {
-    ChurnConfig {
-        algorithm: AlgorithmSpec::CubeFit { gamma: 2, classes: 10 },
-        distribution: DistributionSpec::Uniform { min: 1, max: 15 },
-        ops,
-        seed: 17,
+fn scenario(ops: u64, rent: RentConfig, every: u64, objective: DefragObjective) -> LifecycleConfig {
+    LifecycleConfig {
         departure_percent: 40,
         failure_percent: 0,
         max_failures: 1,
-        audit: true,
+        audit: AuditPolicy::EveryMutation,
         defrag_every: every,
         defrag_budget: MigrationBudget::moves(64),
         defrag_objective: objective,
-        drift: None,
         rent: Some(rent),
+        ..LifecycleConfig::churn(AlgorithmSpec::CubeFit { gamma: 2, classes: 10 }, ops, 17)
     }
 }
 
 /// One policy cell: realized cost report plus servers closed by defrag.
 fn run_policy(
-    ops: usize,
+    ops: u64,
     rent: RentConfig,
-    every: usize,
+    every: u64,
     objective: DefragObjective,
 ) -> (CostReport, usize) {
-    let report = run_churn(&scenario(ops, rent, every, objective)).expect("audited churn runs");
+    let (report, _) =
+        lifecycle::run(&scenario(ops, rent, every, objective), &RunOptions::default())
+            .expect("audited churn runs");
     (report.cost.expect("rent is configured"), report.servers_closed_by_defrag)
 }
 

@@ -17,11 +17,12 @@ use cubefit_bench::{write_json, Mode};
 use cubefit_core::oracle;
 use cubefit_sim::report::TextTable;
 use cubefit_sim::serve::{run_serve, ServeConfig, ServeReport, ServeRun};
+use cubefit_sim::RunOptions;
 use std::time::Instant;
 
 fn run_profile(label: &str, config: ServeConfig) -> (ServeRun, f64) {
     let started = Instant::now();
-    let run = run_serve(config).expect("serve run");
+    let run = run_serve(config, &RunOptions::default()).expect("serve run");
     let wall = started.elapsed().as_secs_f64();
     let report = &run.report;
     assert_eq!(report.audit_divergences, 0, "{label}: admitted mutations must audit clean");

@@ -16,8 +16,8 @@
 //! Run: `cargo run --release -p cubefit-bench --bin soak [-- --quick]`
 
 use cubefit_bench::{write_json, Mode};
+use cubefit_sim::lifecycle::{self, shrink, AuditPolicy, LifecycleConfig, RunOptions};
 use cubefit_sim::report::TextTable;
-use cubefit_sim::soak::{run_soak_with, shrink, SoakConfig};
 use cubefit_sim::AlgorithmSpec;
 use cubefit_telemetry::{analyze_reader, AnalyzeConfig, JsonlSink, Recorder};
 use std::io::BufReader;
@@ -29,11 +29,12 @@ fn main() {
     let audit_every: u64 = if mode.is_quick() { 1_000 } else { 10_000 };
     let algorithm = AlgorithmSpec::CubeFit { gamma: 2, classes: 10 };
 
-    let mut config = SoakConfig::steady(algorithm, ops, 7);
-    config.audit_every = audit_every;
+    let mut config = LifecycleConfig::steady(algorithm, ops, 7);
+    config.audit = AuditPolicy::Sampled { every: audit_every };
     config.defrag_every = 5_000;
 
-    let trace_path = std::env::temp_dir().join("cubefit-bench-soak.jsonl");
+    let trace_path =
+        std::env::temp_dir().join(format!("cubefit-bench-soak-{}.jsonl", std::process::id()));
     let file = std::fs::File::create(&trace_path).expect("trace file");
     let recorder = Recorder::with_sink(JsonlSink::new(std::io::BufWriter::new(file)));
 
@@ -43,7 +44,8 @@ fn main() {
     );
 
     let started = Instant::now();
-    let report = run_soak_with(&config, recorder.clone()).expect("soak runs");
+    let options = RunOptions { recorder: recorder.clone(), ..RunOptions::default() };
+    let (report, _) = lifecycle::run(&config, &options).expect("soak runs");
     recorder.flush().expect("trace flushes");
     let soak_secs = started.elapsed().as_secs_f64();
     assert!(report.failure.is_none(), "bench soak must stay clean: {:?}", report.failure);
@@ -59,14 +61,14 @@ fn main() {
 
     // Shrink cost: inject a fault two-thirds in, soak until it trips,
     // then bisect the scenario down to the pinned op.
-    let mut faulty = SoakConfig::steady(
+    let mut faulty = LifecycleConfig::steady(
         AlgorithmSpec::CubeFit { gamma: 2, classes: 10 },
         (ops / 2).max(2_000),
         7,
     );
     faulty.checkpoint_every = 100;
     faulty.inject_at = Some(faulty.ops * 2 / 3);
-    let failed = run_soak_with(&faulty, Recorder::disabled()).expect("faulty soak runs");
+    let (failed, _) = lifecycle::run(&faulty, &RunOptions::default()).expect("faulty soak runs");
     let scenario = failed.scenario.expect("injected fault produces a scenario");
     let started = Instant::now();
     let outcome = shrink(&scenario).expect("scenario shrinks");
@@ -99,7 +101,7 @@ fn main() {
         "arrivals": report.arrivals,
         "departures": report.departures,
         "failure_events": report.failure_events,
-        "defrag_epochs": report.defrag_epochs,
+        "defrag_epochs": report.defrag_epochs.len(),
         "audits": report.audits,
         "checkpoints": report.checkpoints,
         "final_tenants": report.final_tenants,

@@ -1,13 +1,8 @@
 //! `cubefit churn` — seeded churn-and-recovery chaos runs.
 
 use crate::args::ParsedArgs;
-use crate::spec_parse;
-use crate::telemetry_out;
-use cubefit_core::monitor::DEFAULT_AT_RISK_SLACK;
-use cubefit_defrag::{DefragObjective, MigrationBudget};
-use cubefit_economics::{CostModel, LeaseTerms, MigrationPricing, RentConfig};
-use cubefit_service::ShutdownFlag;
-use cubefit_sim::churn::{run_churn_cancellable, run_churn_journaled, ChurnConfig, DriftConfig};
+use crate::lifecycle_args::{config_from, execute, Preset};
+use cubefit_sim::LifecycleConfig;
 
 /// Flags accepted by `churn`.
 pub const FLAGS: &[&str] = &[
@@ -54,123 +49,8 @@ pub const USAGE: &str = "churn [--algorithm cubefit] [--gamma G] [--distribution
                          [--trace-out EVENTS.jsonl] [--journal DIR] \
                          [--fsync always|interval:N|never]";
 
-/// Parses the shared `--defrag-moves` / `--defrag-load` budget flags.
-pub(crate) fn budget_from(args: &ParsedArgs) -> Result<MigrationBudget, String> {
-    let max_moves = match args.get("defrag-moves") {
-        None => None,
-        Some(_) => {
-            Some(args.get_or("defrag-moves", 0usize, "an integer").map_err(|e| e.to_string())?)
-        }
-    };
-    let max_load = match args.get("defrag-load") {
-        None => None,
-        Some(_) => {
-            let load: f64 =
-                args.get_or("defrag-load", 0.0f64, "a number").map_err(|e| e.to_string())?;
-            if load < 0.0 {
-                return Err(format!("--defrag-load {load} must be non-negative"));
-            }
-            Some(load)
-        }
-    };
-    Ok(MigrationBudget { max_moves, max_load })
-}
-
-/// Parses the shared drift flags (`--profile`, `--mitigate-every`,
-/// `--mitigate-moves`, `--mitigate-load`, `--slack`) into a [`DriftConfig`].
-/// The mitigation budget defaults to unlimited: `--mitigate-every` without
-/// a cap means "repair everything at the stride".
-pub(crate) fn drift_from(args: &ParsedArgs) -> Result<DriftConfig, String> {
-    let profile = spec_parse::parse_drift_profile(args.get("profile").unwrap_or("burst"))?;
-    let mitigate_every: usize =
-        args.get_or("mitigate-every", 0usize, "an integer").map_err(|e| e.to_string())?;
-    let at_risk_slack: f64 =
-        args.get_or("slack", DEFAULT_AT_RISK_SLACK, "a number").map_err(|e| e.to_string())?;
-    if !(0.0..1.0).contains(&at_risk_slack) {
-        return Err(format!("--slack {at_risk_slack} must lie in [0, 1)"));
-    }
-    let max_moves = match args.get("mitigate-moves") {
-        None => None,
-        Some(_) => {
-            Some(args.get_or("mitigate-moves", 0usize, "an integer").map_err(|e| e.to_string())?)
-        }
-    };
-    let max_load = match args.get("mitigate-load") {
-        None => None,
-        Some(_) => {
-            let load: f64 =
-                args.get_or("mitigate-load", 0.0f64, "a number").map_err(|e| e.to_string())?;
-            if load < 0.0 {
-                return Err(format!("--mitigate-load {load} must be non-negative"));
-            }
-            Some(load)
-        }
-    };
-    Ok(DriftConfig {
-        profile,
-        mitigate_every,
-        budget: MigrationBudget { max_moves, max_load },
-        at_risk_slack,
-    })
-}
-
-/// Parses the shared renting flags into a [`RentConfig`]. `--rent`
-/// enables the ledger at c4.4xlarge defaults; `--block-ms`,
-/// `--hourly-usd`, `--ms-per-op` and `--horizon-ms` each refine it (and
-/// each implies `--rent` on its own).
-pub(crate) fn rent_from(args: &ParsedArgs) -> Result<Option<RentConfig>, String> {
-    let enabled = args.has("rent")
-        || ["block-ms", "hourly-usd", "ms-per-op", "horizon-ms"]
-            .iter()
-            .any(|flag| args.get(flag).is_some());
-    if !enabled {
-        return Ok(None);
-    }
-    let block_ms: u64 =
-        args.get_or("block-ms", 3_600_000u64, "an integer").map_err(|e| e.to_string())?;
-    if block_ms == 0 {
-        return Err("--block-ms must be positive".to_owned());
-    }
-    let mut rent = RentConfig::c4_4xlarge(block_ms);
-    if args.get("hourly-usd").is_some() {
-        let hourly: f64 =
-            args.get_or("hourly-usd", 0.0f64, "a number").map_err(|e| e.to_string())?;
-        if hourly <= 0.0 || !hourly.is_finite() {
-            return Err(format!("--hourly-usd {hourly} must be positive and finite"));
-        }
-        rent.terms = LeaseTerms::new(block_ms, CostModel::with_hourly_usd(hourly));
-        rent.pricing = MigrationPricing::at_hourly_rate(hourly);
-    }
-    rent.ms_per_op =
-        args.get_or("ms-per-op", rent.ms_per_op, "an integer").map_err(|e| e.to_string())?;
-    if rent.ms_per_op == 0 {
-        return Err("--ms-per-op must be positive".to_owned());
-    }
-    rent.horizon_ms =
-        args.get_or("horizon-ms", rent.horizon_ms, "an integer").map_err(|e| e.to_string())?;
-    if rent.horizon_ms == 0 {
-        return Err("--horizon-ms must be positive".to_owned());
-    }
-    Ok(Some(rent))
-}
-
-/// Parses `--objective bins|cost`. The cost objective needs a ledger to
-/// consult, so it requires the renting flags.
-pub(crate) fn objective_from(
-    args: &ParsedArgs,
-    rent: Option<&RentConfig>,
-) -> Result<DefragObjective, String> {
-    match args.get("objective").unwrap_or("bins") {
-        "bins" => Ok(DefragObjective::Bins),
-        "cost" => match rent {
-            Some(config) => Ok(DefragObjective::Cost { horizon_ms: config.horizon_ms }),
-            None => Err("--objective cost requires --rent (there is no ledger to consult \
-                         without a renting model)"
-                .to_owned()),
-        },
-        other => Err(format!("unknown objective '{other}' (expected bins or cost)")),
-    }
-}
+/// `churn` defaults: the churn preset, 500 ops from seed 0.
+pub(crate) const PRESET: Preset = |algorithm| LifecycleConfig::churn(algorithm, 500, 0);
 
 /// Runs the command, returning the JSON churn report (or a summary when
 /// `--out` redirects the report to a file).
@@ -180,135 +60,57 @@ pub(crate) fn objective_from(
 /// Returns a message for bad flags, bad specs, or I/O failures.
 pub fn run(args: &ParsedArgs) -> Result<String, String> {
     args.expect_only(FLAGS).map_err(|e| e.to_string())?;
-    let gamma: usize = args.get_or("gamma", 2usize, "an integer").map_err(|e| e.to_string())?;
-    let algorithm = spec_parse::parse_algorithm(args.get("algorithm").unwrap_or("cubefit"), gamma)?;
-    let distribution =
-        spec_parse::parse_distribution(args.get("distribution").unwrap_or("uniform:1-15"))?;
-    let ops: usize = args.get_or("ops", 500usize, "an integer").map_err(|e| e.to_string())?;
-    let seed: u64 = args.get_or("seed", 0u64, "an integer").map_err(|e| e.to_string())?;
-    let departure_percent: u32 =
-        args.get_or("departures", 25u32, "a percentage").map_err(|e| e.to_string())?;
-    let failure_percent: u32 =
-        args.get_or("failures", 10u32, "a percentage").map_err(|e| e.to_string())?;
-    if departure_percent + failure_percent > 100 {
-        return Err(format!(
-            "--departures {departure_percent} plus --failures {failure_percent} exceeds 100%"
+    let config = config_from(args, PRESET)?;
+    let outcome = execute(args, &config, true)?;
+    let report = &outcome.report;
+    let mut summary = format!(
+        "{} (seed {}): {} arrivals, {} departures, {} failure events; \
+         recovery moved {} replicas ({:.3} load, {} bins opened); \
+         degraded {:.0}s total (max {:.0}s); \
+         final: {} tenants on {} bins, utilization {:.3}, \
+         fragmentation ratio {:.2}; robust: {}\n",
+        report.algorithm,
+        report.seed,
+        report.arrivals,
+        report.departures,
+        report.failure_events,
+        report.recovery.replicas_migrated,
+        report.recovery.moved_load,
+        report.recovery.bins_opened,
+        report.degraded_seconds_total,
+        report.degraded_seconds_max,
+        report.final_tenants,
+        report.final_open_bins,
+        report.fragmentation.mean_fill,
+        report.fragmentation.fragmentation_ratio,
+        report.robust,
+    );
+    if !report.defrag_epochs.is_empty() {
+        summary.push_str(&format!(
+            "defrag: {} epochs closed {} servers\n",
+            report.defrag_epochs.len(),
+            report.servers_closed_by_defrag,
         ));
     }
-    let max_failures: usize = args
-        .get_or("max-failures", algorithm.gamma().saturating_sub(1).max(1), "an integer")
-        .map_err(|e| e.to_string())?;
-    if max_failures >= algorithm.gamma() {
-        return Err(format!(
-            "--max-failures {max_failures} would breach availability: at most γ−1 = {} servers \
-             may fail per event",
-            algorithm.gamma() - 1
+    if report.drift_updates > 0 {
+        summary.push_str(&format!(
+            "drift: {} load updates, {} invariant violations detected; \
+             mitigation: {} epochs cured {} servers, final: {} violated / {} at risk\n",
+            report.drift_updates,
+            report.drift_violations,
+            report.mitigation_epochs.len(),
+            report.servers_cured_by_mitigation,
+            report.final_violated,
+            report.final_at_risk,
         ));
     }
-
-    let rent = rent_from(args)?;
-    let config = ChurnConfig {
-        algorithm,
-        distribution,
-        ops,
-        seed,
-        departure_percent,
-        failure_percent,
-        max_failures,
-        audit: args.has("audit"),
-        defrag_every: args
-            .get_or("defrag-every", 0usize, "an integer")
-            .map_err(|e| e.to_string())?,
-        defrag_budget: budget_from(args)?,
-        defrag_objective: objective_from(args, rent.as_ref())?,
-        drift: if args.has("drift") { Some(drift_from(args)?) } else { None },
-        rent,
-    };
-    let metrics_out = args.get("metrics-out");
-    let trace_out = args.get("trace-out");
-    let recorder = telemetry_out::recorder_for(metrics_out, trace_out)?;
-    let journal = super::journal_from(args, config.algorithm.gamma())?;
-    let report = match &journal {
-        Some(journal) => {
-            run_churn_journaled(&config, recorder.clone(), journal, Some(&ShutdownFlag::install()))
-                .map_err(|e| e.to_string())?
-        }
-        None => run_churn_cancellable(&config, recorder.clone(), &ShutdownFlag::install())
-            .map_err(|e| e.to_string())?,
-    };
-    recorder.flush()?;
-
-    let json = report.to_json();
-    let mut output = String::new();
-    if let Some(path) = args.get("out") {
-        crate::output::write_report(path, &json)?;
-        output.push_str(&format!(
-            "{} (seed {}): {} arrivals, {} departures, {} failure events; \
-             recovery moved {} replicas ({:.3} load, {} bins opened); \
-             degraded {:.0}s total (max {:.0}s); \
-             final: {} tenants on {} bins, utilization {:.3}, \
-             fragmentation ratio {:.2}; robust: {}\n",
-            report.algorithm,
-            report.seed,
-            report.arrivals,
-            report.departures,
-            report.failure_events.len(),
-            report.recovery.replicas_migrated,
-            report.recovery.moved_load,
-            report.recovery.bins_opened,
-            report.degraded_seconds_total,
-            report.degraded_seconds_max,
-            report.final_tenants,
-            report.final_open_bins,
-            report.fragmentation.mean_fill,
-            report.fragmentation.fragmentation_ratio,
-            report.robust,
-        ));
-        if !report.defrag_epochs.is_empty() {
-            output.push_str(&format!(
-                "defrag: {} epochs closed {} servers\n",
-                report.defrag_epochs.len(),
-                report.servers_closed_by_defrag,
-            ));
-        }
-        if report.drift_updates > 0 {
-            output.push_str(&format!(
-                "drift: {} load updates, {} invariant violations detected; \
-                 mitigation: {} epochs cured {} servers, final: {} violated / {} at risk\n",
-                report.drift_updates,
-                report.drift_violations,
-                report.mitigation_epochs.len(),
-                report.servers_cured_by_mitigation,
-                report.final_violated,
-                report.final_at_risk,
-            ));
-        }
-        output.push_str(&format!("churn report written to {path}\n"));
-    } else {
-        output.push_str(&json);
-        output.push('\n');
-    }
-    if let Some(path) = metrics_out {
-        telemetry_out::write_metrics(path, &recorder.snapshot())?;
-        output.push_str(&format!("metrics written to {path}\n"));
-    }
-    if let Some(path) = trace_out {
-        output.push_str(&format!("decision trace written to {path}\n"));
-    }
-    if let Some(journal) = &journal {
-        output.push_str(&format!(
-            "journal sealed at seq {} in {}\n",
-            journal.last_seq(),
-            args.get("journal").unwrap_or_default()
-        ));
-    }
-    Ok(output)
+    outcome.render(args, "churn", &summary)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cubefit_sim::churn::ChurnReport;
+    use cubefit_sim::LifecycleReport;
 
     fn tmp(name: &str) -> String {
         let dir = std::env::temp_dir().join("cubefit-cli-tests");
@@ -332,9 +134,9 @@ mod tests {
         ])
         .unwrap();
         let out = run(&args).unwrap();
-        let report: ChurnReport = serde_json::from_str(&out).unwrap();
+        let report: LifecycleReport = serde_json::from_str(&out).unwrap();
         assert_eq!(report.gamma, 3);
-        assert_eq!(report.arrivals + report.departures + report.failure_events.len(), 150);
+        assert_eq!(report.arrivals + report.departures + report.failure_events, 150);
         assert!(report.robust);
         assert!(out.contains("degraded_seconds_total"));
         assert!(out.contains("replicas_migrated"));
@@ -352,7 +154,7 @@ mod tests {
         // utilization, not just event counts.
         assert!(out.contains("(seed 3)"), "{out}");
         assert!(out.contains("bins, utilization"), "{out}");
-        let report: ChurnReport =
+        let report: LifecycleReport =
             serde_json::from_str(&std::fs::read_to_string(&path).unwrap()).unwrap();
         assert_eq!(report.seed, 3);
         assert_eq!(report.fragmentation.open_bins, report.final_open_bins);
@@ -382,7 +184,7 @@ mod tests {
         .unwrap();
         let out = run(&args).unwrap();
         assert!(out.contains("defrag:"), "{out}");
-        let report: ChurnReport =
+        let report: LifecycleReport =
             serde_json::from_str(&std::fs::read_to_string(&path).unwrap()).unwrap();
         assert_eq!(report.defrag_epochs.len(), 4);
         for epoch in &report.defrag_epochs {
@@ -405,6 +207,17 @@ mod tests {
         let args = ParsedArgs::parse(["churn", "--gamma", "2", "--max-failures", "2"]).unwrap();
         let err = run(&args).unwrap_err();
         assert!(err.contains("γ−1"), "{err}");
+    }
+
+    /// Regression: at γ = 1 the default used to be `(γ−1).max(1)` = 1, so
+    /// a bare `--gamma 1` failed on a `--max-failures` the user never
+    /// passed. The default is now γ−1, and the real cause surfaces.
+    #[test]
+    fn gamma1_reports_the_unsupported_replication_factor() {
+        let args = ParsedArgs::parse(["churn", "--gamma", "1", "--ops", "10"]).unwrap();
+        let err = run(&args).unwrap_err();
+        assert!(err.contains("replication factor 1 is not supported (must be ≥ 2)"), "{err}");
+        assert!(!err.contains("--max-failures"), "{err}");
     }
 
     #[test]

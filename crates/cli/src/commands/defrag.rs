@@ -1,7 +1,7 @@
 //! `cubefit defrag` — plan and apply robustness-preserving
 //! defragmentation on a seeded fragmentation scenario.
 //!
-//! The command drives a churn run (by default departure-heavy, so the
+//! The command drives a lifecycle run (by default departure-heavy, so the
 //! placement ends fragmented), then computes a [`cubefit_defrag::DefragPlan`]
 //! under the `--defrag-moves` / `--defrag-load` budget and — unless
 //! `--dry-run` is given — applies it through the live consolidator,
@@ -10,12 +10,10 @@
 //! against the from-scratch oracle.
 
 use crate::args::ParsedArgs;
-use crate::commands::churn::{budget_from, objective_from, rent_from};
-use crate::spec_parse;
-use crate::telemetry_out;
+use crate::lifecycle_args::{config_from, execute, render, Outcome, Preset};
 use cubefit_defrag::{DefragObjective, DefragOutcome};
 use cubefit_economics::LeaseLedger;
-use cubefit_sim::churn::{run_churn_consolidator, ChurnConfig};
+use cubefit_sim::LifecycleConfig;
 
 /// Flags accepted by `defrag`.
 pub const FLAGS: &[&str] = &[
@@ -50,6 +48,15 @@ pub const USAGE: &str = "defrag [--algorithm cubefit] [--gamma G] [--distributio
                          [--out REPORT.json] [--metrics-out METRICS.json] \
                          [--trace-out EVENTS.jsonl]";
 
+/// `defrag` defaults: 400 ops from seed 0 of departure-heavy churn —
+/// defrag is only interesting once churn has stranded low-fill servers.
+pub(crate) const PRESET: Preset = |algorithm| LifecycleConfig {
+    departure_percent: 40,
+    failure_percent: 0,
+    max_failures: 1,
+    ..LifecycleConfig::churn(algorithm, 400, 0)
+};
+
 /// Runs the command, returning a combined JSON document (scenario, plan,
 /// outcome, fragmentation before/after) or a summary when `--out`
 /// redirects the document to a file.
@@ -59,48 +66,12 @@ pub const USAGE: &str = "defrag [--algorithm cubefit] [--gamma G] [--distributio
 /// Returns a message for bad flags, bad specs, or I/O failures.
 pub fn run(args: &ParsedArgs) -> Result<String, String> {
     args.expect_only(FLAGS).map_err(|e| e.to_string())?;
-    let gamma: usize = args.get_or("gamma", 2usize, "an integer").map_err(|e| e.to_string())?;
-    let algorithm = spec_parse::parse_algorithm(args.get("algorithm").unwrap_or("cubefit"), gamma)?;
-    let distribution =
-        spec_parse::parse_distribution(args.get("distribution").unwrap_or("uniform:1-15"))?;
-    let ops: usize = args.get_or("ops", 400usize, "an integer").map_err(|e| e.to_string())?;
-    let seed: u64 = args.get_or("seed", 0u64, "an integer").map_err(|e| e.to_string())?;
-    // Departure-heavy defaults: defrag is only interesting once churn has
-    // stranded low-fill servers.
-    let departure_percent: u32 =
-        args.get_or("departures", 40u32, "a percentage").map_err(|e| e.to_string())?;
-    let failure_percent: u32 =
-        args.get_or("failures", 0u32, "a percentage").map_err(|e| e.to_string())?;
-    if departure_percent + failure_percent > 100 {
-        return Err(format!(
-            "--departures {departure_percent} plus --failures {failure_percent} exceeds 100%"
-        ));
-    }
-    let budget = budget_from(args)?;
+    // The churn phase runs no defrag epochs (`defrag_every` stays 0): the
+    // parsed budget and objective price the standalone plan below.
+    let config = config_from(args, PRESET)?;
+    let (budget, objective) = (config.defrag_budget, config.defrag_objective);
     let dry_run = args.has("dry-run");
-    let rent = rent_from(args)?;
-    let objective = objective_from(args, rent.as_ref())?;
-
-    let config = ChurnConfig {
-        algorithm,
-        distribution,
-        ops,
-        seed,
-        departure_percent,
-        failure_percent,
-        max_failures: 1,
-        audit: args.has("audit"),
-        defrag_every: 0,
-        defrag_budget: cubefit_defrag::MigrationBudget::default(),
-        defrag_objective: cubefit_defrag::DefragObjective::Bins,
-        drift: None,
-        rent,
-    };
-    let metrics_out = args.get("metrics-out");
-    let trace_out = args.get("trace-out");
-    let recorder = telemetry_out::recorder_for(metrics_out, trace_out)?;
-    let (report, mut consolidator) =
-        run_churn_consolidator(&config, recorder.clone()).map_err(|e| e.to_string())?;
+    let Outcome { report, mut consolidator, recorder, .. } = execute(args, &config, false)?;
 
     // With the cost objective, plan against fresh leases opened at plan
     // time: every surviving server holds one paid rental block from now,
@@ -121,9 +92,9 @@ pub fn run(args: &ParsedArgs) -> Result<String, String> {
             (plan, outcome)
         }
         DefragObjective::Cost { horizon_ms } => {
-            let rent = rent.expect("objective_from enforces --rent for the cost objective");
+            let rent = config.rent.expect("the parser enforces --rent for the cost objective");
             let mut ledger = LeaseLedger::new(rent.terms);
-            let now = ops as u64 * rent.ms_per_op;
+            let now = config.ops * rent.ms_per_op;
             ledger.advance(
                 now,
                 consolidator.placement().bins().filter(|b| b.level() > 0.0).map(|b| b.id()),
@@ -160,7 +131,7 @@ pub fn run(args: &ParsedArgs) -> Result<String, String> {
         "algorithm": report.algorithm.clone(),
         "gamma": report.gamma,
         "seed": report.seed,
-        "ops": ops,
+        "ops": config.ops,
         "dry_run": dry_run,
         "churn_arrivals": report.arrivals,
         "churn_departures": report.departures,
@@ -173,23 +144,8 @@ pub fn run(args: &ParsedArgs) -> Result<String, String> {
     let json =
         serde_json::to_string_pretty(&document).map_err(|e| format!("encoding report: {e}"))?;
 
-    let mut output = String::new();
-    if let Some(path) = args.get("out") {
-        crate::output::write_report(path, &json)?;
-        output.push_str(&summary(&report.algorithm, report.seed, &plan, outcome.as_ref(), robust));
-        output.push_str(&format!("defrag report written to {path}\n"));
-    } else {
-        output.push_str(&json);
-        output.push('\n');
-    }
-    if let Some(path) = metrics_out {
-        telemetry_out::write_metrics(path, &recorder.snapshot())?;
-        output.push_str(&format!("metrics written to {path}\n"));
-    }
-    if let Some(path) = trace_out {
-        output.push_str(&format!("decision trace written to {path}\n"));
-    }
-    Ok(output)
+    let summary = summary(&report.algorithm, report.seed, &plan, outcome.as_ref(), robust);
+    render(args, "defrag", &json, &summary, &recorder)
 }
 
 /// One-paragraph human summary of a plan/apply round.

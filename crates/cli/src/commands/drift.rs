@@ -1,7 +1,7 @@
 //! `cubefit drift` — load-drift robustness runs: online re-estimation,
 //! invariant monitoring, and budgeted mitigation.
 //!
-//! The command drives a churn run in which every tenant's load drifts
+//! The command drives a lifecycle run in which every tenant's load drifts
 //! between ops (`--profile walk:N` or `--profile burst:m=M,p=P`), the
 //! invariant monitor flags servers whose Theorem-1 margin goes negative,
 //! and — at the `--mitigate-every` stride — a mitigation epoch drains
@@ -12,11 +12,8 @@
 //! from-scratch oracle.
 
 use crate::args::ParsedArgs;
-use crate::commands::churn::drift_from;
-use crate::spec_parse;
-use crate::telemetry_out;
-use cubefit_service::ShutdownFlag;
-use cubefit_sim::churn::{run_churn_cancellable, ChurnConfig, ChurnReport};
+use crate::lifecycle_args::{config_from, execute, Preset, DEFAULT_DRIFT};
+use cubefit_sim::{LifecycleConfig, LifecycleReport};
 
 /// Flags accepted by `drift`.
 pub const FLAGS: &[&str] = &[
@@ -45,7 +42,18 @@ pub const USAGE: &str = "drift [--algorithm cubefit] [--gamma G] [--distribution
                          [--out REPORT.json] [--metrics-out METRICS.json] \
                          [--trace-out EVENTS.jsonl]";
 
-/// Runs the command, returning the JSON churn report (or a drift-focused
+/// `drift` defaults: 300 ops from seed 0 of 15%-departure churn under
+/// burst drift, with no server failures so drift is the only failure
+/// mode.
+pub(crate) const PRESET: Preset = |algorithm| LifecycleConfig {
+    departure_percent: 15,
+    failure_percent: 0,
+    max_failures: 1,
+    drift: Some(DEFAULT_DRIFT),
+    ..LifecycleConfig::churn(algorithm, 300, 0)
+};
+
+/// Runs the command, returning the JSON report (or a drift-focused
 /// summary when `--out` redirects the report to a file).
 ///
 /// # Errors
@@ -53,63 +61,13 @@ pub const USAGE: &str = "drift [--algorithm cubefit] [--gamma G] [--distribution
 /// Returns a message for bad flags, bad specs, or I/O failures.
 pub fn run(args: &ParsedArgs) -> Result<String, String> {
     args.expect_only(FLAGS).map_err(|e| e.to_string())?;
-    let gamma: usize = args.get_or("gamma", 2usize, "an integer").map_err(|e| e.to_string())?;
-    let algorithm = spec_parse::parse_algorithm(args.get("algorithm").unwrap_or("cubefit"), gamma)?;
-    let distribution =
-        spec_parse::parse_distribution(args.get("distribution").unwrap_or("uniform:1-15"))?;
-    let ops: usize = args.get_or("ops", 300usize, "an integer").map_err(|e| e.to_string())?;
-    let seed: u64 = args.get_or("seed", 0u64, "an integer").map_err(|e| e.to_string())?;
-    let departure_percent: u32 =
-        args.get_or("departures", 15u32, "a percentage").map_err(|e| e.to_string())?;
-    if departure_percent > 100 {
-        return Err(format!("--departures {departure_percent} exceeds 100%"));
-    }
-
-    let config = ChurnConfig {
-        algorithm,
-        distribution,
-        ops,
-        seed,
-        departure_percent,
-        // Drift runs isolate the drift failure mode: no server failures.
-        failure_percent: 0,
-        max_failures: 1,
-        audit: args.has("audit"),
-        defrag_every: 0,
-        defrag_budget: cubefit_defrag::MigrationBudget::default(),
-        defrag_objective: cubefit_defrag::DefragObjective::Bins,
-        drift: Some(drift_from(args)?),
-        rent: None,
-    };
-    let metrics_out = args.get("metrics-out");
-    let trace_out = args.get("trace-out");
-    let recorder = telemetry_out::recorder_for(metrics_out, trace_out)?;
-    let report = run_churn_cancellable(&config, recorder.clone(), &ShutdownFlag::install())
-        .map_err(|e| e.to_string())?;
-    recorder.flush()?;
-
-    let json = report.to_json();
-    let mut output = String::new();
-    if let Some(path) = args.get("out") {
-        crate::output::write_report(path, &json)?;
-        output.push_str(&summary(&report));
-        output.push_str(&format!("drift report written to {path}\n"));
-    } else {
-        output.push_str(&json);
-        output.push('\n');
-    }
-    if let Some(path) = metrics_out {
-        telemetry_out::write_metrics(path, &recorder.snapshot())?;
-        output.push_str(&format!("metrics written to {path}\n"));
-    }
-    if let Some(path) = trace_out {
-        output.push_str(&format!("decision trace written to {path}\n"));
-    }
-    Ok(output)
+    let config = config_from(args, PRESET)?;
+    let outcome = execute(args, &config, true)?;
+    outcome.render(args, "drift", &summary(&outcome.report))
 }
 
 /// Drift-focused human summary of a run.
-fn summary(report: &ChurnReport) -> String {
+fn summary(report: &LifecycleReport) -> String {
     let mut text = format!(
         "{} (seed {}): {} arrivals, {} departures; {} load updates drifted, \
          {} invariant violations detected\n",
@@ -154,7 +112,7 @@ mod tests {
     fn unmitigated_burst_drift_breaks_the_invariant() {
         let args = ParsedArgs::parse(["drift", "--ops", "200", "--seed", "31", "--audit"]).unwrap();
         let out = run(&args).unwrap();
-        let report: ChurnReport = serde_json::from_str(&out).unwrap();
+        let report: LifecycleReport = serde_json::from_str(&out).unwrap();
         assert!(report.drift_updates > 0);
         assert!(report.drift_violations > 0, "seed 31 must drift into violation");
         assert!(report.final_violated > 0 && !report.robust);
@@ -181,7 +139,7 @@ mod tests {
         assert!(out.contains("invariant violations detected"), "{out}");
         assert!(out.contains("mitigation:"), "{out}");
         assert!(out.contains("drift report written to"), "{out}");
-        let report: ChurnReport =
+        let report: LifecycleReport =
             serde_json::from_str(&std::fs::read_to_string(&path).unwrap()).unwrap();
         assert!(!report.mitigation_epochs.is_empty());
         assert!(report.servers_cured_by_mitigation > 0);
@@ -203,7 +161,7 @@ mod tests {
         ])
         .unwrap();
         let out = run(&args).unwrap();
-        let report: ChurnReport = serde_json::from_str(&out).unwrap();
+        let report: LifecycleReport = serde_json::from_str(&out).unwrap();
         for epoch in &report.mitigation_epochs {
             assert!(epoch.planned_steps <= 2, "budget of 2 moves exceeded");
         }
@@ -215,7 +173,7 @@ mod tests {
             ParsedArgs::parse(["drift", "--ops", "80", "--profile", "walk:3", "--slack", "0.1"])
                 .unwrap();
         let out = run(&args).unwrap();
-        let report: ChurnReport = serde_json::from_str(&out).unwrap();
+        let report: LifecycleReport = serde_json::from_str(&out).unwrap();
         assert!(report.drift_updates > 0, "a walk of step 3 must move some loads");
     }
 

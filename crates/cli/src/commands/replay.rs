@@ -2,7 +2,7 @@
 //! and shrink it to the minimal pinned regression.
 
 use crate::args::ParsedArgs;
-use cubefit_sim::soak::{replay, shrink, SoakScenario};
+use cubefit_sim::{replay, shrink, Scenario};
 
 /// Flags accepted by `replay`.
 pub const FLAGS: &[&str] = &["scenario", "shrink", "out"];
@@ -27,7 +27,7 @@ pub fn run(args: &ParsedArgs) -> Result<String, String> {
         (None, None) => return Err(format!("usage: {USAGE}")),
     };
     let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-    let scenario = SoakScenario::from_json(&text)?;
+    let scenario = Scenario::from_json(&text)?;
 
     let mut output = format!(
         "scenario: {} γ={} seed {} — suspect ops {}..={} ({})\n",
@@ -114,8 +114,7 @@ mod tests {
         let args = ParsedArgs::parse(["replay", &path, "--shrink", "--out", &pinned_path]).unwrap();
         let out = run(&args).unwrap();
         assert!(out.contains("first failing op is 731"), "{out}");
-        let pinned =
-            SoakScenario::from_json(&std::fs::read_to_string(&pinned_path).unwrap()).unwrap();
+        let pinned = Scenario::from_json(&std::fs::read_to_string(&pinned_path).unwrap()).unwrap();
         assert_eq!((pinned.window_lo, pinned.window_hi), (731, 731));
         // The pinned scenario replays standalone — the regression test.
         let args = ParsedArgs::parse(["replay", &pinned_path]).unwrap();
@@ -125,8 +124,7 @@ mod tests {
     #[test]
     fn stale_scenarios_are_rejected() {
         let path = scenario_file("stale-scenario.json");
-        let mut scenario =
-            SoakScenario::from_json(&std::fs::read_to_string(&path).unwrap()).unwrap();
+        let mut scenario = Scenario::from_json(&std::fs::read_to_string(&path).unwrap()).unwrap();
         // Disarm the injection: the window is now clean, so the repro is
         // stale and both replay and shrink must say so.
         scenario.config.inject_at = None;

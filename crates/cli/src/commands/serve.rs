@@ -11,7 +11,8 @@ use crate::args::ParsedArgs;
 use crate::spec_parse;
 use crate::telemetry_out;
 use cubefit_service::{LimiterSpec, ShutdownFlag};
-use cubefit_sim::serve::{run_serve_journaled, run_serve_with, ServeConfig, StormProfile};
+use cubefit_sim::serve::{run_serve, ServeConfig, StormProfile};
+use cubefit_sim::RunOptions;
 
 /// Flags accepted by `serve`.
 pub const FLAGS: &[&str] = &[
@@ -89,6 +90,9 @@ pub(crate) fn config_from(args: &ParsedArgs) -> Result<ServeConfig, String> {
             rate_multiplier: 4.0,
         });
     }
+    config.journal_checkpoint_batches = args
+        .get_or("checkpoint-batches", config.journal_checkpoint_batches, "an integer")
+        .map_err(|e| e.to_string())?;
     config.interrupt_at_ms = match args.get("interrupt-at") {
         None => None,
         Some(_) => {
@@ -114,31 +118,25 @@ pub fn run(args: &ParsedArgs) -> Result<String, String> {
     let metrics_out = args.get("metrics-out");
     let trace_out = args.get("trace-out");
     let recorder = telemetry_out::recorder_for(metrics_out, trace_out)?;
-    // A scripted interrupt gets a private flag so in-process tests don't
-    // poison the global Ctrl-C flag; interactive runs hook the signal.
-    let shutdown = if config.interrupt_at_ms.is_some() {
-        ShutdownFlag::new()
-    } else {
-        ShutdownFlag::install()
-    };
+    if args.has("checkpoint-batches") && !args.has("journal") {
+        return Err(
+            "--checkpoint-batches only applies to journaled runs (add --journal DIR)".to_string()
+        );
+    }
     let journal = super::journal_from(args, config.algorithm.gamma())?;
-    let run = match &journal {
-        Some(journal) => {
-            let stride: u64 = args
-                .get_or("checkpoint-batches", 256u64, "an integer")
-                .map_err(|e| e.to_string())?;
-            run_serve_journaled(config, recorder.clone(), journal, stride, &shutdown)
-                .map_err(|e| e.to_string())?
-        }
-        None => {
-            if args.has("checkpoint-batches") {
-                return Err("--checkpoint-batches only applies to journaled runs \
-                            (add --journal DIR)"
-                    .to_string());
-            }
-            run_serve_with(config, recorder.clone(), &shutdown).map_err(|e| e.to_string())?
-        }
+    let options = RunOptions {
+        recorder: recorder.clone(),
+        // A scripted interrupt gets a private flag so in-process tests
+        // don't poison the global Ctrl-C flag; interactive runs hook the
+        // signal.
+        shutdown: if config.interrupt_at_ms.is_some() {
+            ShutdownFlag::new()
+        } else {
+            ShutdownFlag::install()
+        },
+        journal: journal.clone(),
     };
+    let run = run_serve(config, &options).map_err(|e| e.to_string())?;
     recorder.flush()?;
     let report = &run.report;
 

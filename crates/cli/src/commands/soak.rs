@@ -1,10 +1,8 @@
 //! `cubefit soak` — long-horizon audited soak runs with shrinking repros.
 
 use crate::args::ParsedArgs;
-use crate::spec_parse;
-use crate::telemetry_out;
-use cubefit_service::ShutdownFlag;
-use cubefit_sim::soak::{run_soak_cancellable, run_soak_crashed, run_soak_journaled, SoakConfig};
+use crate::lifecycle_args::{config_from, execute, Preset};
+use cubefit_sim::LifecycleConfig;
 
 /// Flags accepted by `soak`.
 pub const FLAGS: &[&str] = &[
@@ -47,60 +45,8 @@ pub const USAGE: &str = "soak [--algorithm cubefit] [--gamma G] [--ops N] [--see
                          [--trace-out EVENTS.jsonl] [--journal DIR] \
                          [--fsync always|interval:N|never] [--crash-at OP]";
 
-/// Builds a [`SoakConfig`] from parsed flags (shared with `replay`'s
-/// documentation of the scenario format).
-pub(crate) fn config_from(args: &ParsedArgs) -> Result<SoakConfig, String> {
-    let gamma: usize = args.get_or("gamma", 2usize, "an integer").map_err(|e| e.to_string())?;
-    let algorithm = spec_parse::parse_algorithm(args.get("algorithm").unwrap_or("cubefit"), gamma)?;
-    let distribution =
-        spec_parse::parse_distribution(args.get("distribution").unwrap_or("uniform:1-15"))?;
-    let ops: u64 = args.get_or("ops", 100_000u64, "an integer").map_err(|e| e.to_string())?;
-    let seed: u64 = args.get_or("seed", 0u64, "an integer").map_err(|e| e.to_string())?;
-    let mut config = SoakConfig::steady(algorithm, ops, seed);
-    config.distribution = distribution;
-    config.departure_percent = args
-        .get_or("departures", config.departure_percent, "a percentage")
-        .map_err(|e| e.to_string())?;
-    config.failure_percent = args
-        .get_or("failures", config.failure_percent, "a percentage")
-        .map_err(|e| e.to_string())?;
-    if config.departure_percent + config.failure_percent > 100 {
-        return Err(format!(
-            "--departures {} plus --failures {} exceeds 100%",
-            config.departure_percent, config.failure_percent
-        ));
-    }
-    config.max_failures = args
-        .get_or("max-failures", config.max_failures, "an integer")
-        .map_err(|e| e.to_string())?;
-    if config.max_failures >= config.algorithm.gamma() {
-        return Err(format!(
-            "--max-failures {} would breach availability: at most γ−1 = {} servers may fail \
-             per event",
-            config.max_failures,
-            config.algorithm.gamma() - 1
-        ));
-    }
-    config.audit_every =
-        args.get_or("audit-every", config.audit_every, "an integer").map_err(|e| e.to_string())?;
-    config.checkpoint_every = args
-        .get_or("checkpoint-every", config.checkpoint_every, "an integer")
-        .map_err(|e| e.to_string())?;
-    config.defrag_every =
-        args.get_or("defrag-every", 0u64, "an integer").map_err(|e| e.to_string())?;
-    config.defrag_budget = super::churn::budget_from(args)?;
-    config.drift = if args.has("drift") { Some(super::churn::drift_from(args)?) } else { None };
-    config.inject_at = match args.get("inject-at") {
-        None => None,
-        Some(_) => Some(args.get_or("inject-at", 0u64, "an op index").map_err(|e| e.to_string())?),
-    };
-    // Drifted runs expect transient violations (mitigation trails the
-    // drift), so only static-load runs fail on one by default.
-    config.fail_on_violation = args
-        .get_or("fail-on-violation", config.drift.is_none(), "true or false")
-        .map_err(|e| e.to_string())?;
-    Ok(config)
-}
+/// `soak` defaults: the steady-state preset, 100 000 ops from seed 0.
+pub(crate) const PRESET: Preset = |algorithm| LifecycleConfig::steady(algorithm, 100_000, 0);
 
 /// Runs the command. A clean soak returns its report; a soak that detects
 /// an audit failure or invariant violation writes the replayable scenario
@@ -112,63 +58,12 @@ pub(crate) fn config_from(args: &ParsedArgs) -> Result<SoakConfig, String> {
 /// soak (after writing the scenario file).
 pub fn run(args: &ParsedArgs) -> Result<String, String> {
     args.expect_only(FLAGS).map_err(|e| e.to_string())?;
-    let config = config_from(args)?;
-    let metrics_out = args.get("metrics-out");
-    let trace_out = args.get("trace-out");
-    let recorder = telemetry_out::recorder_for(metrics_out, trace_out)?;
-    let journal = super::journal_from(args, config.algorithm.gamma())?;
-    let crash_at = match args.get("crash-at") {
-        None => None,
-        Some(_) => Some(args.get_or("crash-at", 0u64, "an op index").map_err(|e| e.to_string())?),
-    };
-    let report = match (&journal, crash_at) {
-        (None, Some(_)) => {
-            return Err("--crash-at only applies to journaled runs (add --journal DIR)".to_string())
-        }
-        (None, None) => run_soak_cancellable(&config, recorder.clone(), &ShutdownFlag::install())
-            .map_err(|e| e.to_string())?,
-        (Some(journal), None) => {
-            // Ctrl-C trips the flag; the run drains, fsyncs, and seals the
-            // journal before the partial report is written.
-            run_soak_journaled(&config, recorder.clone(), journal, Some(&ShutdownFlag::install()))
-                .map_err(|e| e.to_string())?
-        }
-        (Some(journal), Some(crash_at)) => {
-            // CI crash drill: stop dead without sealing, as a kill -9 would.
-            run_soak_crashed(&config, journal, crash_at).map_err(|e| e.to_string())?
-        }
-    };
-    recorder.flush()?;
-
-    let mut output = String::new();
-    let json = report.to_json();
-    if let Some(path) = args.get("out") {
-        crate::output::write_report(path, &json)?;
-        output.push_str(&format!("soak report written to {path}\n"));
-    } else {
-        output.push_str(&json);
-        output.push('\n');
-    }
-    if let Some(path) = metrics_out {
-        telemetry_out::write_metrics(path, &recorder.snapshot())?;
-        output.push_str(&format!("metrics written to {path}\n"));
-    }
-    if let Some(path) = trace_out {
-        output.push_str(&format!("soak trace written to {path}\n"));
-    }
-    if let Some(journal) = &journal {
-        let dir = args.get("journal").unwrap_or_default();
-        if crash_at.is_some() {
-            output.push_str(&format!(
-                "journal left UNSEALED at seq {} in {dir} (crash drill) — \
-                 reconstruct with: cubefit recover {dir}\n",
-                journal.last_seq()
-            ));
-        } else {
-            output.push_str(&format!("journal sealed at seq {} in {dir}\n", journal.last_seq()));
-        }
-    }
-    output.push_str(&format!(
+    let config = config_from(args, PRESET)?;
+    // A crash drill stops dead without sealing, as a kill -9 would; any
+    // other run drains on Ctrl-C, fsyncs, and seals the journal first.
+    let outcome = execute(args, &config, config.crash_at.is_none())?;
+    let report = &outcome.report;
+    let summary = format!(
         "{} (seed {}): {}/{} ops — {} arrivals, {} departures, {} failure events; \
          {} audits ({} failed), {} checkpoints, {} violations; \
          final: {} tenants on {} bins, fragmentation {:.3}, robust {}\n",
@@ -182,12 +77,16 @@ pub fn run(args: &ParsedArgs) -> Result<String, String> {
         report.audits,
         report.audit_failures,
         report.checkpoints,
-        report.violations,
+        report.drift_violations,
         report.final_tenants,
         report.final_open_bins,
-        report.final_fragmentation,
+        report.fragmentation.fragmentation_ratio,
         report.robust,
-    ));
+    );
+    // Unlike the other lifecycle commands, soak prints its summary line
+    // last and whether or not the JSON went to stdout.
+    let mut output = outcome.render(args, "soak", "")?;
+    output.push_str(&summary);
 
     match (&report.failure, &report.scenario) {
         (Some(failure), Some(scenario)) => {
@@ -207,7 +106,7 @@ pub fn run(args: &ParsedArgs) -> Result<String, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cubefit_sim::soak::{SoakReport, SoakScenario};
+    use cubefit_sim::{LifecycleReport, Scenario};
 
     fn tmp(name: &str) -> String {
         let dir = std::env::temp_dir().join("cubefit-cli-tests");
@@ -235,7 +134,7 @@ mod tests {
         let out = run(&args).unwrap();
         assert!(out.contains("soak report written to"), "{out}");
         assert!(out.contains("robust true"), "{out}");
-        let report: SoakReport =
+        let report: LifecycleReport =
             serde_json::from_str(&std::fs::read_to_string(&out_path).unwrap()).unwrap();
         assert_eq!(report.ops_run, 1500);
         assert!(report.failure.is_none());
@@ -263,8 +162,10 @@ mod tests {
         let err = run(&args).unwrap_err();
         assert!(err.contains("soak FAILED"), "{err}");
         assert!(err.contains("replayable scenario"), "{err}");
+        // Without --out the JSON report is followed by the summary line.
+        assert!(err.contains("}\ncubefit"), "{err}");
         let scenario =
-            SoakScenario::from_json(&std::fs::read_to_string(&scenario_path).unwrap()).unwrap();
+            Scenario::from_json(&std::fs::read_to_string(&scenario_path).unwrap()).unwrap();
         assert!(scenario.window_lo <= 731 && 731 <= scenario.window_hi);
         assert_eq!(scenario.config.inject_at, Some(731));
     }
@@ -283,7 +184,8 @@ mod tests {
     }
 
     fn journal_dir(name: &str) -> String {
-        let dir = std::env::temp_dir().join("cubefit-cli-soak-journal").join(name);
+        let dir = std::env::temp_dir()
+            .join(format!("cubefit-cli-soak-journal-{}-{name}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         dir.to_string_lossy().into_owned()
     }
@@ -312,6 +214,7 @@ mod tests {
                 .unwrap();
         assert!(recovered.contains("clean (journal sealed)"), "{recovered}");
         assert!(recovered.contains("audit: oracle agrees"), "{recovered}");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// The CI crash drill end-to-end: a journaled soak stopped dead at an
@@ -350,5 +253,6 @@ mod tests {
         )
         .unwrap();
         assert!(check.contains("oracle agrees"), "{check}");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -29,6 +29,7 @@
 
 pub mod args;
 pub mod commands;
+mod lifecycle_args;
 mod output;
 pub mod spec_parse;
 pub mod telemetry_out;

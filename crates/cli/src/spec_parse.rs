@@ -109,6 +109,15 @@ pub fn parse_distribution(raw: &str) -> Result<DistributionSpec, String> {
     }
 }
 
+/// Burst size, in clients, when `burst` gives no `m`.
+const BURST_MAGNITUDE: u32 = 20;
+/// Per-op burst probability when `burst` gives no `p`.
+const BURST_PROBABILITY: f64 = 0.01;
+
+/// The profile a bare `burst` spec parses to.
+pub const DEFAULT_BURST: DriftProfile =
+    DriftProfile::Burst { magnitude: BURST_MAGNITUDE, probability: BURST_PROBABILITY };
+
 /// Parses a drift-profile spec string: `walk[:MAX_STEP]` for a symmetric
 /// client-count random walk, `burst[:m=MAGNITUDE,p=PROBABILITY]` for
 /// flash-crowd bursts that decay back to baseline.
@@ -129,10 +138,10 @@ pub fn parse_drift_profile(raw: &str) -> Result<DriftProfile, String> {
             Ok(DriftProfile::RandomWalk { max_step })
         }
         "burst" => {
-            let magnitude: u32 = options.get("m").map_or(Ok(20), |v| {
+            let magnitude: u32 = options.get("m").map_or(Ok(BURST_MAGNITUDE), |v| {
                 v.parse().map_err(|_| format!("{raw}: m must be an integer client count"))
             })?;
-            let probability: f64 = options.get("p").map_or(Ok(0.01), |v| {
+            let probability: f64 = options.get("p").map_or(Ok(BURST_PROBABILITY), |v| {
                 v.parse().map_err(|_| format!("{raw}: p must be a number"))
             })?;
             if !(0.0..=1.0).contains(&probability) {

@@ -1,21 +1,22 @@
 //! Deterministic crash-injection harness for the durability layer.
 //!
-//! A [`CrashPlan`] runs a journaled soak for a prefix of its ops and then
-//! simulates a crash: the journal is simply *not sealed* (a dead process
-//! writes no more bytes), optionally with a fault injected into the log —
-//! tearing the final frame mid-write or flipping a bit in acknowledged
-//! territory. [`run_crash_plan`] then recovers the journal exactly as
+//! A [`CrashPlan`] runs a journaled lifecycle for a prefix of its ops
+//! ([`LifecycleConfig::crash_at`]) and then simulates a crash: the
+//! journal is simply *not sealed* (a dead process writes no more bytes),
+//! optionally with a fault injected into the log — tearing the final
+//! frame mid-write or flipping a bit in acknowledged territory.
+//! [`run_crash_plan`] then recovers the journal exactly as
 //! `cubefit recover` would and reports whether the recovered placement is
 //! bit-identical (as a serialized [`cubefit_core::PlacementDump`]) to the
 //! state the live process had acknowledged, and whether it passes the
 //! differential audit oracle.
 //!
-//! Everything is a pure function of the plan: the soak loop is seeded,
-//! the journal records decisions (never randomness), and the fault
+//! Everything is a pure function of the plan: the lifecycle loop is
+//! seeded, the journal records decisions (never randomness), and the fault
 //! offsets are computed from the log's own framing — no wall clocks, no
 //! entropy, so a failing plan is its own repro.
 
-use crate::soak::{run_crash_prefix, SoakConfig};
+use crate::lifecycle::{self, LifecycleConfig, RunOptions};
 use cubefit_core::{oracle, Error, PlacementDump, Result};
 use cubefit_durability::frame::{self, FrameParse, HEADER_LEN};
 use cubefit_durability::{recover, recover_up_to, FsyncPolicy, Journal, WAL_FILE};
@@ -40,10 +41,9 @@ pub enum CrashFault {
 /// One deterministic crash experiment.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct CrashPlan {
-    /// The journaled soak run to crash.
-    pub config: SoakConfig,
-    /// Ops executed before the simulated kill.
-    pub crash_at: u64,
+    /// The journaled run to crash; its [`LifecycleConfig::crash_at`] is
+    /// the op count executed before the simulated kill.
+    pub config: LifecycleConfig,
     /// Damage inflicted at the kill point.
     pub fault: CrashFault,
 }
@@ -123,20 +123,26 @@ fn frame_spans(bytes: &[u8]) -> Vec<(usize, usize)> {
 ///
 /// # Errors
 ///
-/// Propagates soak/journal errors from the live prefix, I/O errors
-/// injecting the fault, and recovery errors *other than* the corruption
-/// a [`CrashFault::FlipBit`] plan deliberately provokes.
+/// Returns [`Error::InvalidConfig`] when the plan has no
+/// [`LifecycleConfig::crash_at`] (the run would complete and seal, so
+/// there is no crash to grade). Propagates run/journal errors from the
+/// live prefix, I/O errors injecting the fault, and recovery errors
+/// *other than* the corruption a [`CrashFault::FlipBit`] plan
+/// deliberately provokes.
 pub fn run_crash_plan(plan: &CrashPlan, dir: &Path) -> Result<CrashVerdict> {
-    // 1. The live prefix: a journaled soak, killed (never sealed) after
+    if plan.config.crash_at.is_none() {
+        return Err(Error::invalid_config("a crash plan needs crash_at (the op to kill at)"));
+    }
+    // 1. The live prefix: a journaled run, killed (never sealed) after
     //    `crash_at` ops.
     let journal = Journal::create(dir, plan.config.algorithm.gamma(), FsyncPolicy::Never)?;
-    let (report, consolidator) = run_crash_prefix(&plan.config, &journal, plan.crash_at)?;
+    let options = RunOptions { journal: Some(journal.clone()), ..RunOptions::default() };
+    let (report, consolidator) = lifecycle::run(&plan.config, &options)?;
     let live_dump_json =
         serde_json::to_string(&PlacementDump::from_placement(consolidator.placement()))
             .map_err(durability_err)?;
     let journal_seq = journal.last_seq();
-    drop(journal);
-    drop(consolidator);
+    drop((journal, options, consolidator));
 
     // 2. Preserve a pristine copy: the torn-tail grader needs the intact
     //    log to reconstruct "the state after the last surviving frame".
@@ -209,13 +215,32 @@ pub fn run_crash_plan(plan: &CrashPlan, dir: &Path) -> Result<CrashVerdict> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lifecycle::AuditPolicy;
     use crate::spec::AlgorithmSpec;
     use std::path::PathBuf;
 
-    fn tmp_dir(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join("cubefit-crash-tests").join(name);
+    /// A scratch directory private to this process, removed on drop.
+    struct TmpDir(PathBuf);
+
+    impl std::ops::Deref for TmpDir {
+        type Target = Path;
+
+        fn deref(&self) -> &Path {
+            &self.0
+        }
+    }
+
+    impl Drop for TmpDir {
+        fn drop(&mut self) {
+            let _ = fs::remove_dir_all(&self.0);
+        }
+    }
+
+    fn tmp_dir(name: &str) -> TmpDir {
+        let dir =
+            std::env::temp_dir().join(format!("cubefit-crash-tests-{}-{name}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
-        dir
+        TmpDir(dir)
     }
 
     fn all_algorithms(gamma: usize) -> Vec<AlgorithmSpec> {
@@ -231,17 +256,18 @@ mod tests {
     }
 
     fn plan(algorithm: AlgorithmSpec, crash_at: u64, fault: CrashFault) -> CrashPlan {
-        let config = SoakConfig {
-            audit_every: 0, // the harness audits the recovered state itself
+        let config = LifecycleConfig {
+            audit: AuditPolicy::Off, // the harness audits the recovered state itself
             checkpoint_every: 100,
             // Durability is orthogonal to robustness: weaker baselines
             // (e.g. RFI at γ = 3) legitimately trip the Theorem-1 monitor
             // under failure injection, and stopping there would cut the
             // run short of its crash point.
             fail_on_violation: false,
-            ..SoakConfig::steady(algorithm, 1_000, 23)
+            crash_at: Some(crash_at),
+            ..LifecycleConfig::steady(algorithm, 1_000, 23)
         };
-        CrashPlan { config, crash_at, fault }
+        CrashPlan { config, fault }
     }
 
     #[test]
@@ -307,6 +333,16 @@ mod tests {
             let verdict = run_crash_plan(&plan, &tmp_dir(&format!("straddle-{crash_at}"))).unwrap();
             assert!(verdict.holds(), "crash at op {crash_at}: {:?}", verdict.outcome);
         }
+    }
+
+    #[test]
+    fn plans_without_a_crash_point_are_rejected() {
+        let mut plan = plan(AlgorithmSpec::FirstFit { gamma: 2 }, 42, CrashFault::TearTail);
+        plan.config.crash_at = None;
+        let dir = tmp_dir("no-crash");
+        let err = run_crash_plan(&plan, &dir).unwrap_err();
+        assert!(matches!(err, Error::InvalidConfig { .. }), "{err}");
+        assert!(!dir.exists(), "a rejected plan must not create a journal");
     }
 
     #[test]

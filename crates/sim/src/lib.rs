@@ -13,14 +13,13 @@
 //! * [`failure`] — the cluster failure experiment pipeline: fill 69
 //!   servers, select the worst-overload failure set, simulate, report p99
 //!   (Fig. 5);
-//! * [`churn`] — seeded arrival/departure/failure interleavings with
-//!   online re-replication, recovery-cost accounting and the modeled
-//!   degraded-window metric;
-//! * [`soak`] — the long-horizon variant: million-op steady-state runs
-//!   with sampled oracle audits, streaming checkpoints, and failure
-//!   scenarios that replay and shrink to pinned regressions;
+//! * [`lifecycle`] — the one seeded arrival/departure/failure driver:
+//!   online re-replication with recovery-cost and degraded-window
+//!   accounting, drift and mitigation, defrag epochs, rent, per-mutation
+//!   or sampled oracle audits, streaming checkpoints, journaling, and
+//!   failure scenarios that replay and shrink to pinned regressions;
 //! * [`crash`] — deterministic crash-injection for the durability layer:
-//!   journaled soak prefixes killed mid-run (clean, torn-tail, or
+//!   journaled lifecycle prefixes killed mid-run (clean, torn-tail, or
 //!   bit-flipped) whose recovery must be byte-identical and audit-clean;
 //! * [`serve`] — the deterministic DES load harness for the placement
 //!   service: seeded open/closed-loop clients, burst storms, latency and
@@ -33,35 +32,29 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs, missing_debug_implementations)]
 
-pub mod churn;
 pub mod cost;
 pub mod crash;
 pub mod experiment;
 pub mod failure;
+pub mod lifecycle;
 pub mod report;
 pub mod runner;
 pub mod serve;
-pub mod soak;
 pub mod spec;
 pub mod stats;
 
-pub use churn::{
-    run_churn, run_churn_cancellable, run_churn_consolidator, run_churn_journaled, run_churn_with,
-    ChurnConfig, ChurnReport, DefragEpoch,
-};
 pub use cost::CostModel;
 pub use crash::{run_crash_plan, CrashFault, CrashOutcome, CrashPlan, CrashVerdict};
 pub use cubefit_economics::{CostReport, RentConfig};
 pub use experiment::{compare, ComparisonConfig, ComparisonResult};
 pub use failure::{run_failure_experiment, FailureExperimentConfig, FailureOutcome};
+pub use lifecycle::{
+    replay, shrink, AuditPolicy, DefragEpoch, DriftConfig, LifecycleConfig, LifecycleReport,
+    MitigationEpoch, RunFailure, RunOptions, Scenario, ShrinkOutcome,
+};
 pub use runner::{run_sequence, run_sequence_batched, run_sequence_with, RunResult};
 pub use serve::{
-    run_serve, run_serve_journaled, run_serve_with, LatencySummary, ServeConfig, ServeReport,
-    ServeRun, ServiceCost, StormProfile,
-};
-pub use soak::{
-    replay, run_soak, run_soak_cancellable, run_soak_crashed, run_soak_journaled, run_soak_with,
-    shrink, ShrinkOutcome, SoakConfig, SoakFailure, SoakReport, SoakScenario,
+    run_serve, LatencySummary, ServeConfig, ServeReport, ServeRun, ServiceCost, StormProfile,
 };
 pub use spec::{AlgorithmSpec, DistributionSpec};
 pub use stats::Summary;

@@ -15,16 +15,15 @@
 //! placement dump so `cubefit check --audit` can replay every admitted
 //! mutation against the oracle after the fact.
 //!
-//! A [`ShutdownFlag`] is polled between events: when it trips (Ctrl-C in
+//! A [`cubefit_service::ShutdownFlag`] is polled between events: when it trips (Ctrl-C in
 //! the CLI, or the `interrupt_at_ms` test hook), arrivals stop, the
 //! admitted queue drains, and the run returns a partial report flagged
 //! `interrupted` instead of dying mid-write.
 
+use crate::lifecycle::RunOptions;
 use crate::spec::{AlgorithmSpec, DistributionSpec};
 use cubefit_core::{PlacementDump, Result, Tenant, TenantId};
-use cubefit_durability::Journal;
-use cubefit_service::{PlacementService, Request, ServiceConfig, ShutdownFlag};
-use cubefit_telemetry::Recorder;
+use cubefit_service::{PlacementService, Request, ServiceConfig};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::collections::BinaryHeap;
@@ -114,6 +113,8 @@ pub struct ServeConfig {
     /// Test hook: trip the shutdown flag at this simulated time, as if
     /// Ctrl-C arrived mid-run.
     pub interrupt_at_ms: Option<f64>,
+    /// Journal checkpoint stride in batches, for journaled runs.
+    pub journal_checkpoint_batches: u64,
 }
 
 impl ServeConfig {
@@ -144,6 +145,7 @@ impl ServeConfig {
                 ..ServiceConfig::default()
             },
             interrupt_at_ms: None,
+            journal_checkpoint_batches: 256,
         }
     }
 
@@ -471,59 +473,28 @@ impl Harness {
     }
 }
 
-/// Runs the harness with a disabled recorder and a private shutdown flag.
-///
-/// # Errors
-///
-/// Propagates configuration and consolidator errors.
-pub fn run_serve(config: ServeConfig) -> Result<ServeRun> {
-    run_serve_with(config, Recorder::disabled(), &ShutdownFlag::new())
-}
-
-/// Runs the harness with explicit telemetry and shutdown wiring.
-///
-/// # Errors
-///
-/// Propagates configuration and consolidator errors.
-pub fn run_serve_with(
-    config: ServeConfig,
-    recorder: Recorder,
-    shutdown: &ShutdownFlag,
-) -> Result<ServeRun> {
-    run_serve_inner(config, recorder, shutdown, None)
-}
-
-/// Like [`run_serve_with`], but every mutation the service applies is
-/// journaled before acknowledgement and the journal is checkpointed every
-/// `checkpoint_every_batches` batches. The journal is sealed when the run
-/// finishes — including a cooperative Ctrl-C drain — so an unsealed
-/// journal on disk always means the process was killed.
+/// Runs the harness. With a journal in `options`, every mutation the
+/// service applies is journaled before acknowledgement, the journal is
+/// checkpointed every [`ServeConfig::journal_checkpoint_batches`] batches,
+/// and it is sealed when the run finishes — including a cooperative
+/// Ctrl-C drain — so an unsealed journal on disk always means the process
+/// was killed.
 ///
 /// # Errors
 ///
 /// Propagates configuration, consolidator, and journal I/O errors.
-pub fn run_serve_journaled(
-    config: ServeConfig,
-    recorder: Recorder,
-    journal: &Journal,
-    checkpoint_every_batches: u64,
-    shutdown: &ShutdownFlag,
-) -> Result<ServeRun> {
-    run_serve_inner(config, recorder, shutdown, Some((journal.clone(), checkpoint_every_batches)))
-}
-
-fn run_serve_inner(
-    config: ServeConfig,
-    recorder: Recorder,
-    shutdown: &ShutdownFlag,
-    journal: Option<(Journal, u64)>,
-) -> Result<ServeRun> {
+pub fn run_serve(config: ServeConfig, options: &RunOptions) -> Result<ServeRun> {
     config.validate().map_err(cubefit_core::Error::invalid_config)?;
     let consolidator = config.algorithm.build()?;
-    let service = match journal {
-        Some((journal, stride)) => {
-            PlacementService::journaled(consolidator, config.service, recorder, journal, stride)
-        }
+    let recorder = options.recorder.clone();
+    let service = match &options.journal {
+        Some(journal) => PlacementService::journaled(
+            consolidator,
+            config.service,
+            recorder,
+            journal.clone(),
+            config.journal_checkpoint_batches,
+        ),
         None => PlacementService::new(consolidator, config.service, recorder),
     }
     .map_err(cubefit_core::Error::invalid_config)?;
@@ -556,7 +527,7 @@ fn run_serve_inner(
 
     while let Some(event) = harness.events.pop() {
         harness.now_ms = harness.now_ms.max(event.at_ms);
-        if !harness.draining && shutdown.is_set() {
+        if !harness.draining && options.shutdown.is_set() {
             harness.draining = true;
             harness.interrupted = true;
         }
@@ -660,8 +631,8 @@ mod tests {
 
     #[test]
     fn baseline_run_is_deterministic_and_auditable() {
-        let a = run_serve(quick(7, false)).unwrap();
-        let b = run_serve(quick(7, false)).unwrap();
+        let a = run_serve(quick(7, false), &RunOptions::default()).unwrap();
+        let b = run_serve(quick(7, false), &RunOptions::default()).unwrap();
         assert_eq!(a, b, "same config must reproduce byte-for-byte");
         assert!(a.report.completed > 0);
         assert!(!a.report.interrupted);
@@ -676,19 +647,20 @@ mod tests {
 
     #[test]
     fn journaled_serve_matches_and_recovers_even_when_interrupted() {
-        let dir = std::env::temp_dir().join("cubefit-serve-journal-tests").join("interrupt");
+        let dir = std::env::temp_dir()
+            .join(format!("cubefit-serve-journal-tests-{}-interrupt", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let mut config = quick(7, false);
         // Cooperative Ctrl-C mid-run: the drain must still seal the log.
         config.interrupt_at_ms = Some(1_500.0);
-        let plain = run_serve(config.clone()).unwrap();
+        config.journal_checkpoint_batches = 16;
+        let plain = run_serve(config.clone(), &RunOptions::default()).unwrap();
         assert!(plain.report.interrupted);
         let journal =
             cubefit_durability::Journal::create(&dir, 2, cubefit_durability::FsyncPolicy::Never)
                 .unwrap();
-        let run =
-            run_serve_journaled(config, Recorder::disabled(), &journal, 16, &ShutdownFlag::new())
-                .unwrap();
+        let options = RunOptions { journal: Some(journal), ..RunOptions::default() };
+        let run = run_serve(config, &options).unwrap();
         assert_eq!(run, plain, "journaling must not perturb the run");
         let state = cubefit_durability::recover(&dir).unwrap();
         assert!(state.sealed, "an interrupted drain still seals the journal");
@@ -698,12 +670,13 @@ mod tests {
             "recovered placement must equal the final dump byte-for-byte"
         );
         assert!(oracle::audit(&state.placement).is_ok());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn different_seeds_diverge() {
-        let a = run_serve(quick(1, false)).unwrap();
-        let b = run_serve(quick(2, false)).unwrap();
+        let a = run_serve(quick(1, false), &RunOptions::default()).unwrap();
+        let b = run_serve(quick(2, false), &RunOptions::default()).unwrap();
         assert_ne!(a.report.offered, b.report.offered);
     }
 
@@ -713,7 +686,7 @@ mod tests {
         config.horizon_ms = 8_000.0;
         config.storm =
             Some(StormProfile { start_ms: 2_000.0, duration_ms: 4_000.0, rate_multiplier: 6.0 });
-        let run = run_serve(config).unwrap();
+        let run = run_serve(config, &RunOptions::default()).unwrap();
         assert!(run.report.shed > 0, "overload must shed: {:?}", run.report);
         assert!(
             run.report.p99_within_slo,
@@ -727,7 +700,7 @@ mod tests {
     fn interrupt_drains_and_flags_the_report() {
         let mut config = quick(3, false);
         config.interrupt_at_ms = Some(1_000.0);
-        let run = run_serve(config).unwrap();
+        let run = run_serve(config, &RunOptions::default()).unwrap();
         assert!(run.report.interrupted);
         assert!(run.report.duration_ms < 3_000.0, "run stopped early");
         assert!(run.report.completed > 0, "work admitted before the interrupt completed");
@@ -747,14 +720,14 @@ mod tests {
     fn rejects_invalid_configs() {
         let mut config = quick(1, false);
         config.horizon_ms = 0.0;
-        assert!(run_serve(config).is_err());
+        assert!(run_serve(config, &RunOptions::default()).is_err());
         let mut config = quick(1, false);
         config.open_rate_per_sec = 0.0;
         config.closed_clients = 0;
-        assert!(run_serve(config).is_err());
+        assert!(run_serve(config, &RunOptions::default()).is_err());
         let mut config = quick(1, false);
         config.depart_percent = 60;
         config.update_percent = 40;
-        assert!(run_serve(config).is_err());
+        assert!(run_serve(config, &RunOptions::default()).is_err());
     }
 }
