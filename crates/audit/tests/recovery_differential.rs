@@ -15,6 +15,7 @@
 
 use cubefit_audit::algorithms;
 use cubefit_core::{oracle, BinId, Consolidator, Load, PlacementDump, Tenant, TenantId};
+use cubefit_durability::frame::{FRAME_OVERHEAD, HEADER_LEN};
 use cubefit_durability::{
     recover, recover_up_to, FsyncPolicy, Journal, JournaledConsolidator, WAL_FILE,
 };
@@ -248,11 +249,11 @@ fn pinned_torn_tail_rewinds_to_the_last_durable_frame() {
     let bytes = std::fs::read(&wal).unwrap();
     // Tear the last frame in half. Frames are length-prefixed, so walk the
     // framing to find where the final frame starts.
-    let mut pos = 16; // header
+    let mut pos = HEADER_LEN;
     let mut last_start = pos;
-    while pos + 16 <= bytes.len() {
+    while pos + FRAME_OVERHEAD <= bytes.len() {
         let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap()) as usize;
-        let next = pos + 16 + len;
+        let next = pos + FRAME_OVERHEAD + len;
         if next > bytes.len() {
             break;
         }

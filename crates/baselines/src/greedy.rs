@@ -185,7 +185,7 @@ impl Greedy {
     /// Batch fast paths. Greedy removals and load updates never query the
     /// failover reserve (their index footprint is the level-keyed
     /// [`LevelIndex`] plus authoritative placement levels), so whole
-    /// batches run in the backend's deferred-maintenance mode and pay one
+    /// batches run in the index's deferred-maintenance mode and pay one
     /// failover-cache rebuild per touched bin instead of one per op.
     fn remove_batch(&mut self, tenants: &[TenantId]) -> Result<Vec<RemovalOutcome>> {
         self.placement.begin_batch();
@@ -346,10 +346,6 @@ macro_rules! greedy_packer {
                 updates: &[(TenantId, f64)],
             ) -> Result<Vec<LoadUpdateOutcome>> {
                 self.inner.update_load_batch(updates)
-            }
-
-            fn set_shards(&mut self, shards: usize) {
-                self.inner.placement.set_shards(shards);
             }
 
             fn recover(&mut self, failed: &[BinId]) -> Result<RecoveryReport> {

@@ -114,7 +114,7 @@ impl Consolidator for NextFit {
 
     fn remove_batch(&mut self, tenants: &[TenantId]) -> Result<Vec<RemovalOutcome>> {
         // No derived index and no reserve queries: the whole batch runs in
-        // the backend's deferred-maintenance mode.
+        // the index's deferred-maintenance mode.
         self.placement.begin_batch();
         let result = tenants.iter().map(|tenant| self.remove(*tenant)).collect();
         self.placement.end_batch();
@@ -127,10 +127,6 @@ impl Consolidator for NextFit {
             updates.iter().map(|(tenant, load)| self.update_load(*tenant, *load)).collect();
         self.placement.end_batch();
         result
-    }
-
-    fn set_shards(&mut self, shards: usize) {
-        self.placement.set_shards(shards);
     }
 
     /// Re-homes orphans scanning all bins in opening order (recovery is an

@@ -119,7 +119,7 @@ impl Consolidator for RandomFit {
 
     fn remove_batch(&mut self, tenants: &[TenantId]) -> Result<Vec<RemovalOutcome>> {
         // No derived index and no reserve queries: the whole batch runs in
-        // the backend's deferred-maintenance mode.
+        // the index's deferred-maintenance mode.
         self.placement.begin_batch();
         let result = tenants.iter().map(|tenant| self.remove(*tenant)).collect();
         self.placement.end_batch();
@@ -132,10 +132,6 @@ impl Consolidator for RandomFit {
             updates.iter().map(|(tenant, load)| self.update_load(*tenant, *load)).collect();
         self.placement.end_batch();
         result
-    }
-
-    fn set_shards(&mut self, shards: usize) {
-        self.placement.set_shards(shards);
     }
 
     /// Re-homes orphans onto randomly probed feasible survivors (same probe

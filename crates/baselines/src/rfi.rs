@@ -146,7 +146,7 @@ impl Rfi {
         }
     }
 
-    /// Runs `ops` with slack re-keys deferred and the placement backend in
+    /// Runs `ops` with slack re-keys deferred and the placement's index in
     /// deferred-maintenance mode, then re-keys every touched bin once
     /// (deterministic bin order) from its recorded pre-batch key to its
     /// final slack.
@@ -279,10 +279,6 @@ impl Consolidator for Rfi {
         self.batched(|this| {
             updates.iter().map(|(tenant, load)| this.update_load(*tenant, *load)).collect()
         })
-    }
-
-    fn set_shards(&mut self, shards: usize) {
-        self.placement.set_shards(shards);
     }
 
     /// Re-homes orphaned replicas tightest-feasible-first through the full

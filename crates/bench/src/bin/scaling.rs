@@ -6,12 +6,12 @@
 //!
 //! 1. the comparative sweep — servers used, savings over RFI, and
 //!    placement wall time as the tenant count grows from 1,000 to
-//!    100,000 (single backend, per-op placement, as in the paper);
-//! 2. the sharded throughput sweep — CubeFit on the hash-partitioned
-//!    backend with the batch placement API, up to 1,000,000 tenants,
-//!    each run cross-checked by the parallel oracle audit. The sweep
-//!    pins a placements/second floor; dropping below it fails the run
-//!    so a fast-path regression cannot land silently.
+//!    100,000 (per-op placement, as in the paper);
+//! 2. the batched throughput sweep — CubeFit through the batch placement
+//!    API, up to 1,000,000 tenants, each run cross-checked by the
+//!    parallel oracle audit. The sweep pins a placements/second floor;
+//!    dropping below it fails the run so a fast-path regression cannot
+//!    land silently.
 //!
 //! Run: `cargo run --release -p cubefit-bench --bin scaling [-- --quick]`
 
@@ -23,8 +23,6 @@ use cubefit_sim::runner::run_sequence;
 use cubefit_sim::{AlgorithmSpec, ComparisonConfig, DistributionSpec};
 use std::time::Instant;
 
-/// Shards for the throughput sweep (and workers for the parallel audit).
-const SHARDS: usize = 8;
 /// Tenants per `place_batch` call in the throughput sweep.
 const BATCH: usize = 4096;
 /// Pinned placement-throughput floor for the largest sweep size,
@@ -87,12 +85,12 @@ fn main() {
     println!("with the tenant population while CubeFit's placement cost stays near-linear.");
     write_json("scaling", &serde_json::json!({ "mode": format!("{mode:?}"), "rows": json_rows }));
 
-    // ---- Sharded throughput sweep -------------------------------------
+    // ---- Batched throughput sweep -------------------------------------
     let sweep_sizes: &[usize] =
         if mode.is_quick() { &[100_000] } else { &[250_000, 500_000, 1_000_000] };
+    let workers = std::thread::available_parallelism().map_or(1, usize::from);
     println!(
-        "\nSharded throughput sweep — {SHARDS} shards, batch {BATCH}, \
-         parallel oracle audit ({SHARDS} workers)\n"
+        "\nBatched throughput sweep — batch {BATCH}, parallel oracle audit ({workers} workers)\n"
     );
     let mut sweep_table = TextTable::new(vec![
         "tenants",
@@ -109,7 +107,6 @@ fn main() {
         let config = ComparisonConfig { tenants, runs: 1, base_seed: 23, max_clients: 52 };
         let sequence = sequence_for(&distribution, &config, 0);
         let mut algorithm = cubefit.build().expect("valid spec");
-        algorithm.set_shards(SHARDS);
         let stream: Vec<_> = sequence.tenants().collect();
         let start = Instant::now();
         for chunk in stream.chunks(BATCH) {
@@ -120,11 +117,12 @@ fn main() {
         last_throughput = throughput;
 
         let audit_start = Instant::now();
-        oracle::audit_sharded(algorithm.placement(), SHARDS)
-            .unwrap_or_else(|e| panic!("sharded audit at {tenants} tenants: {e}"));
+        if let Err(d) = oracle::audit_parallel(algorithm.placement(), workers) {
+            panic!("audit at {tenants} tenants: {} divergences, first: {}", d.len(), d[0]);
+        }
         let audit_wall = audit_start.elapsed();
         let robust = algorithm.placement().is_robust();
-        assert!(robust, "sharded CubeFit placement must stay robust at {tenants} tenants");
+        assert!(robust, "batched CubeFit placement must stay robust at {tenants} tenants");
 
         sweep_table.row(vec![
             tenants.to_string(),
@@ -137,7 +135,6 @@ fn main() {
         sweep_rows.push(serde_json::json!({
             "tenants": tenants,
             "servers": algorithm.placement().open_bins(),
-            "shards": SHARDS,
             "batch": BATCH,
             "place_seconds": wall.as_secs_f64(),
             "placements_per_second": throughput,
@@ -157,8 +154,8 @@ fn main() {
         "BENCH_scaling",
         &serde_json::json!({
             "mode": format!("{mode:?}"),
-            "shards": SHARDS,
             "batch": BATCH,
+            "audit_workers": workers,
             "rows": sweep_rows,
             "placements_per_second": last_throughput,
             "throughput_floor": THROUGHPUT_FLOOR,
@@ -167,7 +164,7 @@ fn main() {
     );
     if !floor_met {
         eprintln!(
-            "FAIL: sharded placement throughput {last_throughput:.0}/s fell below the pinned \
+            "FAIL: batched placement throughput {last_throughput:.0}/s fell below the pinned \
              floor {THROUGHPUT_FLOOR:.0}/s"
         );
         std::process::exit(1);

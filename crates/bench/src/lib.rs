@@ -14,9 +14,20 @@
 //! | `table1`   | Table I — yearly cost savings |
 //! | `theorem2` | Theorem 2 — competitive-ratio upper bounds |
 //! | `ablation` | design-choice ablations: K, μ, tiny policy, stage-1 rules |
+//! | `scaling`  | §V.C scaling prose, plus the batched 1M-tenant throughput sweep |
+//! | `soak`     | soak throughput, streaming-analyzer rate and shrink cost |
+//! | `journal`  | soak throughput with and without the journal, per fsync policy |
+//! | `serve`    | the service loop under calm and 4× storm load |
+//! | `drift`    | residual drift risk vs. mitigation budget |
+//! | `defrag`   | defragmentation yield vs. migration budget |
+//! | `rent`     | renting economics across lease block durations |
+//! | `trend`    | CI gate comparing fresh `BENCH_*.json` records against baselines |
 //!
-//! Each binary prints a plain-text table mirroring the paper artefact and
-//! writes machine-readable JSON next to it under `results/`.
+//! Each experiment binary prints a plain-text table mirroring the paper
+//! artefact and writes machine-readable JSON next to it under `results/`.
+//! These are experiment reproductions and CI smoke gates; end-to-end
+//! performance claims are measured with the `perfbench` harness at the
+//! repository root.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs, missing_debug_implementations)]

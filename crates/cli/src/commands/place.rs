@@ -8,12 +8,12 @@ use cubefit_workload::trace;
 
 /// Flags accepted by `place`.
 pub const FLAGS: &[&str] =
-    &["trace", "algorithm", "gamma", "out", "metrics-out", "trace-out", "shards", "batch"];
+    &["trace", "algorithm", "gamma", "out", "metrics-out", "trace-out", "batch"];
 
 /// Usage line shown in `--help`.
 pub const USAGE: &str =
     "place --trace TRACE [--algorithm cubefit|cubefit:k=5|rfi|…] [--gamma G] [--out PLACEMENT.json] \
-     [--metrics-out METRICS.json] [--trace-out EVENTS.jsonl] [--shards N] [--batch B]";
+     [--metrics-out METRICS.json] [--trace-out EVENTS.jsonl] [--batch B]";
 
 /// Runs the command, returning its stdout text.
 ///
@@ -29,23 +29,19 @@ pub fn run(args: &ParsedArgs) -> Result<String, String> {
     let bytes = std::fs::read(trace_path).map_err(|e| format!("reading {trace_path}: {e}"))?;
     let sequence = trace::decode(&bytes[..]).map_err(|e| format!("decoding {trace_path}: {e}"))?;
 
-    let shards: usize = args.get_or("shards", 0usize, "an integer").map_err(|e| e.to_string())?;
     let batch: usize = args.get_or("batch", 0usize, "an integer").map_err(|e| e.to_string())?;
-    let batched = shards > 1 || batch > 0;
+    let batched = batch > 0;
 
     let metrics_out = args.get("metrics-out");
     let trace_out = args.get("trace-out");
     if batched && (metrics_out.is_some() || trace_out.is_some()) {
-        return Err(
-            "--shards/--batch use the batch fast paths, which skip per-decision telemetry; \
-             drop --metrics-out/--trace-out or run without sharding"
-                .to_string(),
-        );
+        return Err("--batch uses the batch fast paths, which skip per-decision telemetry; \
+             drop --metrics-out/--trace-out or run without batching"
+            .to_string());
     }
     let recorder = telemetry_out::recorder_for(metrics_out, trace_out)?;
     let result = if batched {
-        cubefit_sim::run_sequence_batched(&spec, &sequence, shards, batch)
-            .map_err(|e| e.to_string())?
+        cubefit_sim::run_sequence_batched(&spec, &sequence, batch).map_err(|e| e.to_string())?
     } else {
         cubefit_sim::run_sequence_with(&spec, &sequence, &recorder).map_err(|e| e.to_string())?
     };
@@ -61,11 +57,7 @@ pub fn run(args: &ParsedArgs) -> Result<String, String> {
         wall = result.wall,
     );
     if batched {
-        output.push_str(&format!(
-            "backend: {} shard(s), batch size {}\n",
-            shards.max(1),
-            if batch == 0 { result.tenants } else { batch },
-        ));
+        output.push_str(&format!("batch size {batch}\n"));
     }
 
     if let Some(path) = metrics_out {
@@ -78,11 +70,8 @@ pub fn run(args: &ParsedArgs) -> Result<String, String> {
     if let Some(out) = args.get("out") {
         // Re-run to obtain the placement itself (run_sequence reports
         // statistics only); placement is deterministic given the spec,
-        // and identical whether or not sharding/batching was used.
+        // and identical whether or not batching was used.
         let mut algorithm = spec.build().map_err(|e| e.to_string())?;
-        if shards > 1 {
-            algorithm.set_shards(shards);
-        }
         let tenants: Vec<_> = sequence.tenants().collect();
         let chunk = if batch == 0 { tenants.len().max(1) } else { batch };
         for slice in tenants.chunks(chunk) {
@@ -175,46 +164,44 @@ mod tests {
         assert_eq!(metrics.counter("placements", &[]) as usize, 40);
     }
 
-    /// `--shards`/`--batch` are throughput levers: the dumped placement
-    /// must be byte-identical to the default single-backend run.
+    /// `--batch` is a throughput lever: the dumped placement must be
+    /// byte-identical to the default run.
     #[test]
-    fn sharded_batched_placement_matches_default() {
-        let trace = make_trace("place-sharded.cft");
+    fn batched_placement_matches_default() {
+        let trace = make_trace("place-batched.cft");
         let plain_out = tmp("place-plain.json");
-        let sharded_out = tmp("place-sharded.json");
+        let batched_out = tmp("place-batched.json");
         let plain =
             run(&ParsedArgs::parse(["place", "--trace", &trace, "--out", &plain_out]).unwrap())
                 .unwrap();
-        let sharded = run(&ParsedArgs::parse([
+        let batched = run(&ParsedArgs::parse([
             "place",
             "--trace",
             &trace,
             "--out",
-            &sharded_out,
-            "--shards",
-            "4",
+            &batched_out,
             "--batch",
             "16",
         ])
         .unwrap())
         .unwrap();
-        assert!(sharded.contains("4 shard(s), batch size 16"));
-        assert!(!plain.contains("shard(s)"));
+        assert!(batched.contains("batch size 16"));
+        assert!(!plain.contains("batch size"));
         assert_eq!(
             std::fs::read_to_string(&plain_out).unwrap(),
-            std::fs::read_to_string(&sharded_out).unwrap(),
-            "sharding/batching must not change placement decisions"
+            std::fs::read_to_string(&batched_out).unwrap(),
+            "batching must not change placement decisions"
         );
     }
 
     #[test]
     fn batched_mode_rejects_telemetry_flags() {
-        let trace = make_trace("place-sharded-telemetry.cft");
+        let trace = make_trace("place-batched-telemetry.cft");
         let args = ParsedArgs::parse([
             "place",
             "--trace",
             &trace,
-            "--shards",
+            "--batch",
             "4",
             "--metrics-out",
             &tmp("m.json"),

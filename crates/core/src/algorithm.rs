@@ -187,14 +187,10 @@ pub trait Consolidator {
         updates.iter().map(|(tenant, load)| self.update_load(*tenant, *load)).collect()
     }
 
-    /// Re-partitions the algorithm's placement across `shards` derived-index
-    /// shards (see [`crate::backend`]); 0 or 1 selects the single backend.
-    ///
-    /// Bit-identical cross-shard-count behaviour is only guaranteed when
-    /// called before any tenant is placed (see
-    /// [`crate::Placement::set_shards`]). The default implementation
-    /// ignores the request — algorithms that own a [`Placement`] override
-    /// it by delegating.
+    /// Does nothing: a [`Placement`] has one shared-load index, so there is
+    /// nothing to partition. The method outlives the sharded index only
+    /// because perfbench's `Timed` decorator still forwards it; it goes
+    /// away together with that forward.
     fn set_shards(&mut self, shards: usize) {
         let _ = shards;
     }
@@ -272,10 +268,6 @@ impl Consolidator for Box<dyn Consolidator> {
 
     fn update_load_batch(&mut self, updates: &[(TenantId, f64)]) -> Result<Vec<LoadUpdateOutcome>> {
         (**self).update_load_batch(updates)
-    }
-
-    fn set_shards(&mut self, shards: usize) {
-        (**self).set_shards(shards);
     }
 
     fn migrate(&mut self, tenant: TenantId, from: BinId, to: BinId) -> Result<()> {

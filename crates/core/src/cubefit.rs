@@ -78,7 +78,7 @@ pub struct CubeFit {
     /// When `Some`, [`Consolidator::remove`]/[`Consolidator::update_load`]
     /// record the bins whose mature slack key changed instead of re-keying
     /// immediately — the batch fast path re-keys the deduplicated union
-    /// once, after the placement backend leaves deferred mode. `None`
+    /// once, after the placement's index leaves deferred mode. `None`
     /// outside batches (the per-op re-key path).
     deferred_rekey: Option<Vec<BinId>>,
     counters: CubeFitStats,
@@ -246,7 +246,7 @@ impl CubeFit {
 
     /// Re-keys `bin`'s mature slack — immediately outside a batch, or by
     /// recording it for the single end-of-batch re-key pass (the slack
-    /// queries the failover reserve, which is invalid while the backend is
+    /// queries the failover reserve, which is invalid while the index is
     /// in deferred-maintenance mode). Equivalent either way: the mature set
     /// keys by the *final* slack value, and no stage-1 admission runs
     /// between batched ops.
@@ -606,7 +606,7 @@ impl Consolidator for CubeFit {
 
     fn remove_batch(&mut self, tenants: &[TenantId]) -> Result<Vec<RemovalOutcome>> {
         // Removals never query the reserve, so the whole batch runs in the
-        // backend's deferred-maintenance mode with one slack re-key per
+        // index's deferred-maintenance mode with one slack re-key per
         // touched bin at the end.
         self.batched(|this| tenants.iter().map(|tenant| this.remove(*tenant)).collect())
     }
@@ -615,10 +615,6 @@ impl Consolidator for CubeFit {
         self.batched(|this| {
             updates.iter().map(|(tenant, load)| this.update_load(*tenant, *load)).collect()
         })
-    }
-
-    fn set_shards(&mut self, shards: usize) {
-        self.placement.set_shards(shards);
     }
 
     fn recover(&mut self, failed: &[BinId]) -> Result<RecoveryReport> {

@@ -54,7 +54,6 @@
 
 pub mod algorithm;
 pub mod atomic_io;
-pub mod backend;
 pub mod bin;
 pub mod class;
 pub mod config;
@@ -80,7 +79,6 @@ pub use algorithm::{
     Consolidator, LoadUpdateOutcome, PlacementOutcome, PlacementStage, RemovalOutcome,
 };
 pub use atomic_io::write_atomic;
-pub use backend::{PlacementBackend, ShardedBackend, SingleBackend, RECONCILE_TOLERANCE};
 pub use bin::{BinClass, BinId, BinSnapshot};
 pub use class::{Classifier, ReplicaClass};
 pub use config::{CubeFitConfig, CubeFitConfigBuilder, Stage1Eligibility, TinyPolicy};
@@ -89,7 +87,7 @@ pub use dump::{DumpEntry, PlacementDump};
 pub use error::{Error, Result};
 pub use load::Load;
 pub use monitor::{MonitorReport, ServerHealth, ServerState};
-pub use oracle::{AuditedConsolidator, Divergence, DivergenceKind, Oracle, ShardedAuditError};
+pub use oracle::{AuditedConsolidator, Divergence, DivergenceKind, Oracle};
 pub use placement::{FragmentationStats, Placement, PlacementStats};
 pub use recovery::RecoveryReport;
 pub use tenant::{Tenant, TenantId};

@@ -70,16 +70,15 @@ impl Oracle {
     }
 
     /// [`Oracle::rebuild`], parallelized: the tenant list is partitioned
-    /// across `workers` threads by `tenant_id % workers` — the same hash
-    /// partitioning [`crate::backend::ShardedBackend`] routes by — each
-    /// worker sums its partition's levels and shared-load rows into partial
-    /// state, and the partials are merged by summation in worker order.
+    /// across `workers` threads by `tenant_id % workers`, each worker sums
+    /// its partition's levels and shared-load rows into partial state, and
+    /// the partials are merged by summation in worker order.
     ///
     /// The merged numbers can differ from [`Oracle::rebuild`]'s only by
     /// float association (the same replica terms are summed in a different
     /// order), which [`AUDIT_TOLERANCE`] absorbs by design.
     #[must_use]
-    pub fn rebuild_sharded(placement: &Placement, workers: usize) -> Self {
+    pub fn rebuild_parallel(placement: &Placement, workers: usize) -> Self {
         let workers = workers.max(1);
         let bins = placement.created_bins();
         let gamma = placement.gamma();
@@ -343,61 +342,25 @@ pub fn compare(placement: &Placement, oracle: &Oracle) -> Vec<Divergence> {
     divergences
 }
 
-/// What a sharded audit found wrong: oracle divergences (as in [`audit`])
-/// plus cross-shard reconciliation failures from
-/// [`Placement::reconcile_shards`]. At least one of the two lists is
-/// non-empty whenever this is returned.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct ShardedAuditError {
-    /// Incremental-vs-oracle disagreements.
-    pub divergences: Vec<Divergence>,
-    /// Human-readable cross-shard reconciliation failures (per-shard state
-    /// not summing to the merged view within
-    /// [`crate::backend::RECONCILE_TOLERANCE`]).
-    pub reconcile: Vec<String>,
-}
-
-impl fmt::Display for ShardedAuditError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(
-            f,
-            "sharded audit failed: {} divergence(s), {} reconcile failure(s)",
-            self.divergences.len(),
-            self.reconcile.len()
-        )?;
-        for d in &self.divergences {
-            writeln!(f, "  {d}")?;
-        }
-        for r in &self.reconcile {
-            writeln!(f, "  {r}")?;
-        }
-        Ok(())
-    }
-}
-
-/// [`audit`], parallelized and shard-aware: the reference oracle is rebuilt
-/// by `workers` threads over id-partitioned tenant subsets
-/// ([`Oracle::rebuild_sharded`]) and compared against the incremental
-/// state, then the placement's per-shard derived state is reconciled
-/// against its merged view. The verdict is the same as [`audit`]'s — both
-/// sides sum identical replica terms, differing only by float association,
-/// which stays far inside [`AUDIT_TOLERANCE`].
+/// [`audit`], parallelized: the reference oracle is rebuilt by `workers`
+/// threads over id-partitioned tenant subsets ([`Oracle::rebuild_parallel`])
+/// and compared against the incremental state. The verdict is the same as
+/// [`audit`]'s — both sides sum identical replica terms, differing only by
+/// float association, which stays far inside [`AUDIT_TOLERANCE`].
 ///
 /// # Errors
 ///
-/// Returns a [`ShardedAuditError`] carrying every divergence and every
-/// reconciliation failure.
-pub fn audit_sharded(
+/// Returns the full list of divergences (never empty) if any quantity
+/// disagrees.
+pub fn audit_parallel(
     placement: &Placement,
     workers: usize,
-) -> std::result::Result<(), ShardedAuditError> {
-    let oracle = Oracle::rebuild_sharded(placement, workers);
-    let divergences = compare(placement, &oracle);
-    let reconcile = placement.reconcile_shards();
-    if divergences.is_empty() && reconcile.is_empty() {
+) -> std::result::Result<(), Vec<Divergence>> {
+    let divergences = compare(placement, &Oracle::rebuild_parallel(placement, workers));
+    if divergences.is_empty() {
         Ok(())
     } else {
-        Err(ShardedAuditError { divergences, reconcile })
+        Err(divergences)
     }
 }
 
@@ -512,6 +475,11 @@ impl<A: Consolidator> AuditedConsolidator<A> {
     }
 }
 
+/// Batch mutations keep the trait's default per-op loops on purpose: each
+/// op goes through the audited [`Consolidator::place`]/
+/// [`Consolidator::remove`]/[`Consolidator::update_load`] below, so a
+/// divergence is pinned to the exact op that introduced it instead of to a
+/// whole batch.
 impl<A: Consolidator> Consolidator for AuditedConsolidator<A> {
     /// Places the tenant via the wrapped algorithm, then audits.
     ///
@@ -614,15 +582,6 @@ impl<A: Consolidator> Consolidator for AuditedConsolidator<A> {
         Ok(())
     }
 
-    /// Re-shards the wrapped algorithm's placement. Batch mutations keep
-    /// the trait's default per-op loops on purpose: each op goes through
-    /// the audited [`Consolidator::place`]/[`Consolidator::remove`]/
-    /// [`Consolidator::update_load`] above, so a divergence is pinned to
-    /// the exact op that introduced it instead of to a whole batch.
-    fn set_shards(&mut self, shards: usize) {
-        self.inner.set_shards(shards);
-    }
-
     fn clone_box(&self) -> Box<dyn Consolidator> {
         Box::new(AuditedConsolidator {
             inner: self.inner.clone_box(),
@@ -702,7 +661,7 @@ mod tests {
     }
 
     #[test]
-    fn sharded_rebuild_matches_sequential_rebuild() {
+    fn parallel_rebuild_matches_sequential_rebuild() {
         let mut p = Placement::new(2);
         let b: Vec<BinId> = (0..20).map(|_| p.open_bin(None)).collect();
         let mut state = 7u64;
@@ -715,49 +674,40 @@ mod tests {
         }
         let sequential = Oracle::rebuild(&p);
         for workers in [1, 2, 4, 8] {
-            let sharded = Oracle::rebuild_sharded(&p, workers);
+            let parallel = Oracle::rebuild_parallel(&p, workers);
             for bin in p.bins() {
                 let id = bin.id();
-                assert!((sharded.level(id) - sequential.level(id)).abs() < AUDIT_TOLERANCE);
+                assert!((parallel.level(id) - sequential.level(id)).abs() < AUDIT_TOLERANCE);
                 assert!(
-                    (sharded.worst_failover(id) - sequential.worst_failover(id)).abs()
+                    (parallel.worst_failover(id) - sequential.worst_failover(id)).abs()
                         < AUDIT_TOLERANCE
                 );
                 for (peer, value) in p.shared_peers(id) {
-                    assert!((sharded.shared_load(id, peer) - value).abs() < AUDIT_TOLERANCE);
+                    assert!((parallel.shared_load(id, peer) - value).abs() < AUDIT_TOLERANCE);
                 }
             }
-            assert_eq!(sharded.is_robust(), sequential.is_robust());
+            assert_eq!(parallel.is_robust(), sequential.is_robust());
         }
     }
 
     #[test]
-    fn audit_sharded_passes_on_sharded_and_single_backends() {
-        for shards in [1, 4] {
-            let mut p = Placement::with_shards(2, shards);
-            let b: Vec<BinId> = (0..4).map(|_| p.open_bin(None)).collect();
-            p.place_tenant(&tenant(0, 0.6), &[b[0], b[1]]).unwrap();
-            p.place_tenant(&tenant(1, 0.3), &[b[0], b[2]]).unwrap();
-            p.place_tenant(&tenant(2, 0.5), &[b[2], b[3]]).unwrap();
-            assert_eq!(p.shard_count(), shards);
-            audit_sharded(&p, 4).unwrap_or_else(|e| panic!("{e}"));
-        }
+    fn audit_parallel_passes_on_a_sound_placement() {
+        let p = sample();
+        audit_parallel(&p, 4).unwrap_or_else(|e| panic!("{e:?}"));
+        assert!(audit_parallel(&Placement::new(3), 2).is_ok());
     }
 
     #[test]
-    fn audit_sharded_reports_unsound_state() {
+    fn parallel_rebuild_reports_unsound_state() {
         // Same corruption as `oracle_detects_unsound_robustness`, through
         // the parallel path: the incremental state is poked via update_load
         // deltas the tenant list does not explain.
         let mut p = sample();
         p.update_load(TenantId::new(0), 0.9).unwrap();
         let pristine = sample();
-        let oracle = Oracle::rebuild_sharded(&pristine, 2);
+        let oracle = Oracle::rebuild_parallel(&pristine, 2);
         // Compare the drifted placement against the un-drifted oracle.
-        let divergences = compare(&p, &oracle);
-        assert!(!divergences.is_empty());
-        let err = ShardedAuditError { divergences, reconcile: pristine.reconcile_shards() };
-        assert!(err.to_string().contains("divergence"));
+        assert!(!compare(&p, &oracle).is_empty());
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Placement state shared by all consolidation algorithms.
 
-use crate::backend::{PlacementBackend, ShardedBackend, SingleBackend};
 use crate::bin::{BinClass, BinData, BinId, BinSnapshot};
 use crate::error::{Error, Result};
+use crate::shared::SharedIndex;
 use crate::tenant::{Tenant, TenantId};
 use std::collections::HashMap;
 
@@ -34,34 +34,19 @@ pub(crate) struct TenantRecord {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Placement {
     gamma: usize,
     bins: Vec<BinData>,
     tenants: HashMap<TenantId, TenantRecord>,
     arrival_order: Vec<TenantId>,
-    backend: Box<dyn PlacementBackend>,
+    shared: SharedIndex,
     total_load: f64,
     nonempty_bins: usize,
 }
 
-impl Clone for Placement {
-    fn clone(&self) -> Self {
-        Placement {
-            gamma: self.gamma,
-            bins: self.bins.clone(),
-            tenants: self.tenants.clone(),
-            arrival_order: self.arrival_order.clone(),
-            backend: self.backend.clone_box(),
-            total_load: self.total_load,
-            nonempty_bins: self.nonempty_bins,
-        }
-    }
-}
-
 impl Placement {
-    /// Creates an empty placement with replication factor `gamma`, backed
-    /// by the single (unsharded) derived-index backend.
+    /// Creates an empty placement with replication factor `gamma`.
     ///
     /// # Panics
     ///
@@ -75,95 +60,26 @@ impl Placement {
             bins: Vec::new(),
             tenants: HashMap::new(),
             arrival_order: Vec::new(),
-            backend: Box::new(SingleBackend::new(gamma)),
+            shared: SharedIndex::new(gamma),
             total_load: 0.0,
             nonempty_bins: 0,
         }
     }
 
-    /// Creates an empty placement whose derived indexes are partitioned
-    /// across `shards` placement shards (see [`crate::backend`]). A shard
-    /// count of 0 or 1 selects the single backend.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `gamma < 2`.
-    #[must_use]
-    pub fn with_shards(gamma: usize, shards: usize) -> Self {
-        let mut placement = Placement::new(gamma);
-        placement.set_shards(shards);
-        placement
-    }
-
-    /// Re-partitions the derived-index layer across `shards` placement
-    /// shards (0 or 1 selects the single backend), rebuilding per-shard
-    /// state from the tenant list.
-    ///
-    /// Queries answered by the merged view are bit-identical across shard
-    /// counts only when the op history is replayed through the backend from
-    /// the start (different association orders round differently), so
-    /// callers normally re-shard an *empty* placement before driving ops
-    /// through it; re-sharding a populated placement is still sound within
-    /// the audit tolerance because every derived quantity is recomputed
-    /// from the same replica loads.
-    pub fn set_shards(&mut self, shards: usize) {
-        let mut backend: Box<dyn PlacementBackend> = if shards <= 1 {
-            Box::new(SingleBackend::new(self.gamma))
-        } else {
-            Box::new(ShardedBackend::new(self.gamma, shards))
-        };
-        for _ in 0..self.bins.len() {
-            backend.push_bin();
-        }
-        for id in &self.arrival_order {
-            let record = &self.tenants[id];
-            let replica = record.load / self.gamma as f64;
-            for (i, &bin) in record.bins.iter().enumerate() {
-                backend.add_level(*id, bin, replica);
-                for &other in &record.bins[i + 1..] {
-                    backend.add_shared(*id, bin, other, replica);
-                }
-            }
-        }
-        self.backend = backend;
-    }
-
-    /// Number of placement shards in the derived-index backend (1 for the
-    /// default single backend).
-    #[must_use]
-    pub fn shard_count(&self) -> usize {
-        self.backend.shard_count()
-    }
-
-    /// The shard owning `tenant`'s derived state (always 0 when unsharded).
-    #[must_use]
-    pub fn shard_of(&self, tenant: TenantId) -> usize {
-        self.backend.shard_of(tenant)
-    }
-
-    /// Cross-shard reconciliation check: verifies that per-shard derived
-    /// state sums to the merged state within
-    /// [`crate::backend::RECONCILE_TOLERANCE`]. Empty means reconciled;
-    /// always empty for the single backend.
-    #[must_use]
-    pub fn reconcile_shards(&self) -> Vec<String> {
-        let levels: Vec<f64> = self.bins.iter().map(|b| b.level).collect();
-        self.backend.reconcile(&levels)
-    }
-
-    /// Enters the backend's deferred-maintenance mode for a mutation batch
-    /// (see [`crate::backend`]). Failover-reserve queries are invalid until
-    /// [`Self::end_batch`]; levels and shared-load point lookups stay
-    /// exact. Callers must pair this with `end_batch` on every path,
-    /// including errors.
+    /// Enters the shared-load index's deferred-maintenance mode for a
+    /// mutation batch: top-`γ−1` cache rebuilds are postponed and each
+    /// touched row is rebuilt once by [`Self::end_batch`]. Failover-reserve
+    /// queries on touched bins are invalid until then; levels and
+    /// shared-load point lookups stay exact. Callers must pair this with
+    /// `end_batch` on every path, including errors.
     pub fn begin_batch(&mut self) {
-        self.backend.begin_batch();
+        self.shared.begin_deferred();
     }
 
     /// Leaves deferred-maintenance mode, rebuilding every dirty failover
     /// cache exactly once.
     pub fn end_batch(&mut self) {
-        self.backend.end_batch();
+        self.shared.end_deferred();
     }
 
     /// Reserves capacity for `additional` more tenants (batch-placement
@@ -183,8 +99,8 @@ impl Placement {
     pub fn open_bin(&mut self, class: Option<BinClass>) -> BinId {
         let id = BinId(self.bins.len());
         self.bins.push(BinData::new(class));
-        self.backend.push_bin();
-        debug_assert_eq!(self.backend.bin_count(), self.bins.len());
+        self.shared.push_bin();
+        debug_assert_eq!(self.shared.len(), self.bins.len());
         id
     }
 
@@ -223,9 +139,8 @@ impl Placement {
             }
             data.level += replica;
             data.contents.push((tenant.id(), replica));
-            self.backend.add_level(tenant.id(), bin, replica);
             for &other in &bins[i + 1..] {
-                self.backend.add_shared(tenant.id(), bin, other, replica);
+                self.shared.add(bin, other, replica);
             }
         }
         self.total_load += tenant.load().get();
@@ -258,9 +173,8 @@ impl Placement {
                 data.level = 0.0;
                 self.nonempty_bins -= 1;
             }
-            self.backend.add_level(tenant, bin, -replica);
             for &other in &record.bins[i + 1..] {
-                self.backend.sub_shared(tenant, bin, other, replica);
+                self.shared.sub(bin, other, replica);
             }
         }
         self.total_load = (self.total_load - record.load).max(0.0);
@@ -304,12 +218,11 @@ impl Placement {
                 }
             }
             if delta != 0.0 {
-                self.backend.add_level(tenant, bin, delta);
                 for &other in &bins[i + 1..] {
                     if delta > 0.0 {
-                        self.backend.add_shared(tenant, bin, other, delta);
+                        self.shared.add(bin, other, delta);
                     } else {
-                        self.backend.sub_shared(tenant, bin, other, -delta);
+                        self.shared.sub(bin, other, -delta);
                     }
                 }
             }
@@ -360,11 +273,9 @@ impl Placement {
         }
         target.level += replica;
         target.contents.push((tenant, replica));
-        self.backend.add_level(tenant, from, -replica);
-        self.backend.add_level(tenant, to, replica);
         for &sibling in &siblings {
-            self.backend.sub_shared(tenant, from, sibling, replica);
-            self.backend.add_shared(tenant, to, sibling, replica);
+            self.shared.sub(from, sibling, replica);
+            self.shared.add(to, sibling, replica);
         }
         let record = self.tenants.get_mut(&tenant).expect("checked above");
         for bin in &mut record.bins {
@@ -452,21 +363,21 @@ impl Placement {
     /// has a replica on `b`.
     #[must_use]
     pub fn shared_load(&self, a: BinId, b: BinId) -> f64 {
-        self.backend.shared_load(a, b)
+        self.shared.get(a, b)
     }
 
     /// Worst-case failover load onto `bin`: the sum of its `γ − 1` largest
     /// shared loads (the reserve the robustness condition requires).
     #[must_use]
     pub fn worst_failover(&self, bin: BinId) -> f64 {
-        self.backend.worst_failover(bin)
+        self.shared.worst_failover(bin)
     }
 
     /// [`Self::worst_failover`] as if the shared loads of `bin` with the
     /// given peers had already been increased by the given deltas.
     #[must_use]
     pub fn worst_failover_with(&self, bin: BinId, adjustments: &[(BinId, f64)]) -> f64 {
-        self.backend.top_shared_sum_with(bin, adjustments, self.gamma - 1)
+        self.shared.top_shared_sum_with(bin, adjustments, self.gamma - 1)
     }
 
     /// Sum of the `k` largest shared loads of `bin` after the tentative
@@ -481,19 +392,19 @@ impl Placement {
     /// answer deeper queries).
     #[must_use]
     pub fn top_shared_sum_with(&self, bin: BinId, adjustments: &[(BinId, f64)], k: usize) -> f64 {
-        self.backend.top_shared_sum_with(bin, adjustments, k)
+        self.shared.top_shared_sum_with(bin, adjustments, k)
     }
 
     /// Conservative extra load redirected to `bin` when exactly the bins in
     /// `failed` fail (each failed shared replica's full load lands here).
     #[must_use]
     pub fn failover_from(&self, bin: BinId, failed: &[BinId]) -> f64 {
-        self.backend.failover_from(bin, failed)
+        self.shared.failover_from(bin, failed)
     }
 
     /// Iterates over `(peer, shared_load)` pairs for `bin`.
     pub fn shared_peers(&self, bin: BinId) -> impl Iterator<Item = (BinId, f64)> + '_ {
-        self.backend.peers(bin).into_iter()
+        self.shared.peers(bin)
     }
 
     /// Whether the placement satisfies the robustness condition of paper §II

@@ -87,8 +87,9 @@ pub(crate) struct SharedIndex {
     tops: Vec<TopK>,
     /// When `Some`, top-cache maintenance is deferred: rows touched by
     /// [`Self::add`]/[`Self::sub`] are recorded here and rebuilt once by
-    /// [`Self::end_deferred`]. Reserve queries are invalid while active
-    /// (debug builds assert). See [`crate::backend`].
+    /// [`Self::end_deferred`]. Reserve queries on dirty rows are invalid
+    /// while active (debug builds assert). See
+    /// [`crate::Placement::begin_batch`].
     deferred_dirty: Option<HashSet<usize>>,
 }
 

@@ -30,10 +30,10 @@ pub enum DurabilityError {
         /// What was wrong with it.
         detail: String,
     },
-    /// A complete frame in the middle of the log failed its CRC (or
-    /// declared an implausible length): bits rotted or were flipped
-    /// *after* the frame was acknowledged. Unlike a torn tail this loses
-    /// acknowledged state, so it is a hard error.
+    /// A frame failed its header or payload CRC (or the sequence numbers
+    /// skip): bits rotted or were flipped *after* the frame was
+    /// acknowledged. Unlike a torn tail this loses acknowledged state, so
+    /// it is a hard error.
     CorruptFrame {
         /// Byte offset of the frame within the log file.
         offset: u64,

@@ -3,38 +3,40 @@
 //! Layout:
 //!
 //! ```text
-//! header:  magic "CUBEWAL1" (8) | version u32 LE (4) | gamma u32 LE (4)
-//! frame:   len u32 LE (4) | seq u64 LE (8) | crc u32 LE (4) | payload (len)
+//! header:  magic "CUBEWAL2" (8) | version u32 LE (4) | gamma u32 LE (4)
+//! frame:   len u32 LE (4) | seq u64 LE (8) | head_crc u32 LE (4) | crc u32 LE (4)
+//!          | payload (len)
 //! ```
 //!
-//! `len` counts only the payload. The CRC (IEEE 802.3 / zlib polynomial)
-//! covers the little-endian `seq` bytes followed by the payload, so a
-//! frame whose body was written under a different sequence number — the
-//! classic misdirected-write failure — fails its checksum even when the
-//! payload itself is intact.
+//! `len` counts only the payload. All checksums are CRC-32 (IEEE 802.3 /
+//! zlib polynomial). `head_crc` covers the 12 bytes of `len` and `seq`, so
+//! a damaged length field is caught before the reader trusts it to find
+//! the payload. `crc` covers the little-endian `seq` bytes followed by the
+//! payload, so a frame whose body was written under a different sequence
+//! number — the classic misdirected-write failure — fails its checksum
+//! even when the payload itself is intact.
 //!
 //! The reader distinguishes two kinds of damage:
 //!
-//! - a frame that does not fit in the remaining bytes is a **torn
-//!   tail** — the expected signature of a crash mid-append, tolerated by
-//!   recovery (the unacknowledged suffix is discarded with a warning);
-//! - a frame that is fully present but fails its CRC (or declares an
-//!   implausible length) is **corruption** — acknowledged state was
-//!   damaged, surfaced as a typed error naming the byte offset.
+//! - a **torn tail** — fewer bytes than a frame header remain, or a
+//!   verified header's payload runs past the end of the log — is the
+//!   expected signature of a crash mid-append, tolerated by recovery (the
+//!   unacknowledged suffix is discarded with a warning);
+//! - anything else that fails verification is **corruption** —
+//!   acknowledged state was damaged, surfaced as a typed error naming the
+//!   byte offset.
 
 /// File magic opening every write-ahead log.
-pub const MAGIC: &[u8; 8] = b"CUBEWAL1";
+pub const MAGIC: &[u8; 8] = b"CUBEWAL2";
 /// Format version written into the header.
-pub const VERSION: u32 = 1;
+pub const VERSION: u32 = 2;
 /// Bytes of header before the first frame.
 pub const HEADER_LEN: usize = 16;
-/// Per-frame framing overhead (len + seq + crc) in bytes.
-pub const FRAME_OVERHEAD: usize = 16;
-/// Upper bound on a plausible payload. Journal records are small binary
-/// blobs (even a million-tenant checkpoint snapshot lives in the
-/// checkpoint file, not the log), so a length beyond this is read as
-/// corruption of the length field rather than a genuinely huge frame.
-pub const MAX_PAYLOAD_LEN: u32 = 1 << 26;
+/// Per-frame framing overhead (len + seq + head_crc + crc) in bytes: the
+/// payload starts this many bytes after its frame.
+pub const FRAME_OVERHEAD: usize = 20;
+/// Bytes of a frame covered by `head_crc` (len + seq).
+const LEN_SEQ_BYTES: usize = 12;
 
 /// IEEE CRC-32 lookup tables for slicing-by-8, built at compile time.
 /// Table 0 is the classic byte-at-a-time table; table `t` advances a
@@ -81,20 +83,30 @@ fn crc_step8(crc: u32, bytes: [u8; 8]) -> u32 {
         ^ CRC_TABLES[0][(hi >> 24) as usize]
 }
 
-/// CRC-32 (IEEE) over the frame body: `seq` as little-endian bytes, then
-/// the payload. Slicing-by-8: the checksum runs once per acknowledged
-/// mutation, so the byte-at-a-time loop only mops up the tail.
-#[must_use]
-pub fn frame_crc(seq: u64, payload: &[u8]) -> u32 {
-    let mut crc = crc_step8(0xFFFF_FFFF, seq.to_le_bytes());
-    let mut chunks = payload.chunks_exact(8);
+/// Feeds `bytes` into a running (pre-inversion) CRC-32 state.
+/// Slicing-by-8: the checksum runs once per acknowledged mutation, so the
+/// byte-at-a-time loop only mops up the tail.
+fn crc_update(mut crc: u32, bytes: &[u8]) -> u32 {
+    let mut chunks = bytes.chunks_exact(8);
     for chunk in &mut chunks {
         crc = crc_step8(crc, chunk.try_into().expect("8-byte chunk"));
     }
     for &byte in chunks.remainder() {
         crc = CRC_TABLE[((crc ^ u32::from(byte)) & 0xFF) as usize] ^ (crc >> 8);
     }
-    !crc
+    crc
+}
+
+/// CRC-32 (IEEE) of `bytes`.
+fn crc32(bytes: &[u8]) -> u32 {
+    !crc_update(0xFFFF_FFFF, bytes)
+}
+
+/// CRC-32 (IEEE) over the frame body: `seq` as little-endian bytes, then
+/// the payload.
+#[must_use]
+pub fn frame_crc(seq: u64, payload: &[u8]) -> u32 {
+    !crc_update(crc_step8(0xFFFF_FFFF, seq.to_le_bytes()), payload)
 }
 
 /// Encodes the log header for a journal tracking a γ-replicated
@@ -139,8 +151,11 @@ pub fn encode_frame(seq: u64, payload: &[u8]) -> Vec<u8> {
 /// Appends one encoded frame to `out` — the allocation-free variant the
 /// journal's append hot path uses with a reused buffer.
 pub fn encode_frame_into(out: &mut Vec<u8>, seq: u64, payload: &[u8]) {
+    let start = out.len();
     out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     out.extend_from_slice(&seq.to_le_bytes());
+    let head_crc = crc32(&out[start..]);
+    out.extend_from_slice(&head_crc.to_le_bytes());
     out.extend_from_slice(&frame_crc(seq, payload).to_le_bytes());
     out.extend_from_slice(payload);
 }
@@ -159,15 +174,16 @@ pub enum FrameParse<'a> {
     },
     /// Clean end of log: no bytes remain.
     End,
-    /// The remaining bytes cannot hold a complete frame — the torn tail
-    /// of a crash mid-append.
+    /// Fewer bytes than a frame header remain, or a verified header's
+    /// payload runs past the end of the log — the torn tail of a crash
+    /// mid-append.
     TornTail {
         /// Offset the incomplete frame starts at.
         offset: usize,
         /// Bytes discarded with it.
         discarded: usize,
     },
-    /// A complete frame failed verification.
+    /// A frame failed verification.
     Corrupt {
         /// Offset the frame starts at.
         offset: usize,
@@ -187,26 +203,31 @@ pub fn next_frame(buf: &[u8], pos: usize) -> FrameParse<'_> {
     if remaining < FRAME_OVERHEAD {
         return FrameParse::TornTail { offset: pos, discarded: remaining };
     }
-    let len = u32::from_le_bytes([buf[pos], buf[pos + 1], buf[pos + 2], buf[pos + 3]]);
-    if len > MAX_PAYLOAD_LEN {
+    let le_u32 = |at: usize| u32::from_le_bytes(buf[at..at + 4].try_into().expect("4 bytes"));
+    let stored_head = le_u32(pos + LEN_SEQ_BYTES);
+    let computed_head = crc32(&buf[pos..pos + LEN_SEQ_BYTES]);
+    if stored_head != computed_head {
         return FrameParse::Corrupt {
             offset: pos,
-            detail: format!("declared payload length {len} exceeds the {MAX_PAYLOAD_LEN} cap"),
+            detail: format!(
+                "header crc mismatch (stored {stored_head:#010x}, computed {computed_head:#010x})"
+            ),
         };
     }
-    let needed = FRAME_OVERHEAD + len as usize;
+    let needed = FRAME_OVERHEAD + le_u32(pos) as usize;
     if remaining < needed {
         return FrameParse::TornTail { offset: pos, discarded: remaining };
     }
-    let seq = u64::from_le_bytes(buf[pos + 4..pos + 12].try_into().expect("8 bytes"));
-    let stored_crc =
-        u32::from_le_bytes([buf[pos + 12], buf[pos + 13], buf[pos + 14], buf[pos + 15]]);
+    let seq = u64::from_le_bytes(buf[pos + 4..pos + LEN_SEQ_BYTES].try_into().expect("8 bytes"));
+    let stored_crc = le_u32(pos + LEN_SEQ_BYTES + 4);
     let payload = &buf[pos + FRAME_OVERHEAD..pos + needed];
     let computed = frame_crc(seq, payload);
     if computed != stored_crc {
         return FrameParse::Corrupt {
             offset: pos,
-            detail: format!("crc mismatch (stored {stored_crc:#010x}, computed {computed:#010x})"),
+            detail: format!(
+                "payload crc mismatch (stored {stored_crc:#010x}, computed {computed:#010x})"
+            ),
         };
     }
     FrameParse::Frame { seq, payload, next: pos + needed }
@@ -228,6 +249,7 @@ mod tests {
             crc = CRC_TABLE[((crc ^ u32::from(b)) & 0xFF) as usize] ^ (crc >> 8);
         }
         assert_eq!(frame_crc(0, b"123456789"), !crc);
+        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         // And the standalone table is the IEEE one.
         assert_eq!(CRC_TABLE[1], 0x7707_3096);
         assert_eq!(CRC_TABLE[255], 0x2D02_EF8D);
@@ -290,14 +312,23 @@ mod tests {
     }
 
     #[test]
-    fn implausible_length_reads_as_corruption() {
+    fn a_damaged_length_is_corruption_not_a_torn_tail() {
+        // A bit flip that makes the frame claim more bytes than the log
+        // holds used to read as a benign torn tail; the header checksum
+        // now refuses it.
         let mut buf = encode_header(2).to_vec();
         let mut frame = encode_frame(1, b"{}");
-        frame[..4].copy_from_slice(&u32::MAX.to_le_bytes());
+        frame[0] ^= 0x10;
         buf.extend_from_slice(&frame);
         assert!(matches!(
             next_frame(&buf, HEADER_LEN),
-            FrameParse::Corrupt { ref detail, .. } if detail.contains("cap")
+            FrameParse::Corrupt { offset: HEADER_LEN, ref detail } if detail.contains("header crc")
+        ));
+        // A cut inside the frame header is still a torn tail.
+        let cut = HEADER_LEN + FRAME_OVERHEAD - 1;
+        assert!(matches!(
+            next_frame(&buf[..cut], HEADER_LEN),
+            FrameParse::TornTail { offset: HEADER_LEN, discarded: 19 }
         ));
     }
 
@@ -309,7 +340,13 @@ mod tests {
         let mut buf = encode_header(2).to_vec();
         let mut renumbered = frame;
         renumbered[4..12].copy_from_slice(&6u64.to_le_bytes());
+        // Re-seal the header so only the payload checksum can object.
+        let head_crc = crc32(&renumbered[..LEN_SEQ_BYTES]);
+        renumbered[LEN_SEQ_BYTES..LEN_SEQ_BYTES + 4].copy_from_slice(&head_crc.to_le_bytes());
         buf.extend_from_slice(&renumbered);
-        assert!(matches!(next_frame(&buf, HEADER_LEN), FrameParse::Corrupt { .. }));
+        assert!(matches!(
+            next_frame(&buf, HEADER_LEN),
+            FrameParse::Corrupt { ref detail, .. } if detail.contains("payload crc")
+        ));
     }
 }

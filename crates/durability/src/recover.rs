@@ -71,9 +71,10 @@ pub fn recover_with(dir: impl AsRef<Path>, recorder: &Recorder) -> Result<Recove
 ///   log is unreadable or not a journal;
 /// - [`DurabilityError::BadCheckpoint`] when the checkpoint file exists
 ///   but cannot be parsed or rebuilt, or predates γ changes;
-/// - [`DurabilityError::CorruptFrame`] when a *complete* frame fails its
-///   CRC or the sequence numbers skip — acknowledged state was damaged
-///   (a torn final frame is NOT this: it is tolerated with a warning);
+/// - [`DurabilityError::CorruptFrame`] when a frame fails its header or
+///   payload CRC or the sequence numbers skip — acknowledged state was
+///   damaged (a torn final frame is NOT this: it is tolerated with a
+///   warning);
 /// - [`DurabilityError::BadRecord`] when a checksummed record cannot be
 ///   deserialized or replayed;
 /// - [`DurabilityError::Unsupported`] when `max_seq` predates the

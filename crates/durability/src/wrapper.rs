@@ -211,10 +211,6 @@ impl Consolidator for JournaledConsolidator {
         }
     }
 
-    fn set_shards(&mut self, shards: usize) {
-        self.inner.set_shards(shards);
-    }
-
     fn migrate(&mut self, tenant: TenantId, from: BinId, to: BinId) -> Result<()> {
         self.inner.migrate(tenant, from, to)?;
         self.journal.append(&JournalRecord::Migrate {

@@ -1,10 +1,8 @@
 //! Degraded-window migration-cost constants.
 //!
-//! These used to live (only) in `sim::churn`; the economics crate needs
-//! them too — a migration's streamed load is priced from the same model
-//! that sizes the degraded window — so this is now their single home.
-//! `cubefit_sim::churn` re-exports them, keeping existing import paths
-//! valid.
+//! `sim::lifecycle` sizes its degraded recovery window with these, and
+//! the economics crate prices a migration's streamed load from the same
+//! model, so this is their single home.
 
 /// Modeled seconds of fixed per-replica restore work (catalog updates,
 /// opening the replication stream, warming the page cache).
@@ -18,7 +16,7 @@ pub const LOAD_TRANSFER_SECONDS: f64 = 600.0;
 mod tests {
     use super::*;
 
-    /// Pins the shared degraded-window constants. The churn harness's
+    /// Pins the shared degraded-window constants. The lifecycle driver's
     /// degraded-window model, the migration pricing defaults, and every
     /// recorded benchmark baseline assume exactly these values; changing
     /// them silently would skew cost comparisons across PRs.

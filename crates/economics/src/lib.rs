@@ -17,7 +17,7 @@
 //!   does keeping this bin open until horizon H cost?*
 //! - [`MigrationPricing`] — prices a migration's streamed load using the
 //!   degraded-window constants ([`REPLICA_RESTORE_SECONDS`],
-//!   [`LOAD_TRANSFER_SECONDS`]) shared with `sim::churn`.
+//!   [`LOAD_TRANSFER_SECONDS`]) shared with `sim::lifecycle`.
 //! - [`CostReport`] — the realized-cost summary attached to churn/soak
 //!   reports: rent, migration spend, and the integrals the renting
 //!   competitive-ratio probe in `cubefit-analysis` needs to compute a

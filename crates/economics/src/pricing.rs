@@ -6,7 +6,7 @@ use crate::cost::C4_4XLARGE_HOURLY_USD;
 const SECONDS_PER_HOUR: f64 = 3_600.0;
 
 /// Converts migration volume (replicas moved, load streamed) into
-/// dollars, using the degraded-window model shared with `sim::churn`:
+/// dollars, using the degraded-window model shared with `sim::lifecycle`:
 /// each replica pays [`REPLICA_RESTORE_SECONDS`] of fixed setup and
 /// streams its load at [`LOAD_TRANSFER_SECONDS`] per unit.
 ///

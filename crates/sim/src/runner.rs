@@ -109,15 +109,14 @@ pub fn run_sequence_with(
     })
 }
 
-/// Runs a fresh instance of `spec` over `sequence` using the sharded
-/// backend and the batch placement API: `shards` hash partitions
-/// (`0` or `1` keeps the single backend) and `batch` tenants per
-/// `place_batch` call (`0` means one batch for the whole sequence).
+/// Runs a fresh instance of `spec` over `sequence` through the batch
+/// placement API, `batch` tenants per `place_batch` call (`0` means one
+/// batch for the whole sequence).
 ///
 /// The resulting placement is identical to [`run_sequence`]'s — batching
-/// and sharding are throughput levers, not decision changes — so the
-/// statistics differ only in `wall`. Telemetry stays disabled: the batch
-/// fast paths are exactly what per-op recording would defeat.
+/// is a throughput lever, not a decision change — so the statistics
+/// differ only in `wall`. Telemetry stays disabled: the batch fast paths
+/// are exactly what per-op recording would defeat.
 ///
 /// # Errors
 ///
@@ -125,13 +124,9 @@ pub fn run_sequence_with(
 pub fn run_sequence_batched(
     spec: &AlgorithmSpec,
     sequence: &TenantSequence,
-    shards: usize,
     batch: usize,
 ) -> Result<RunResult> {
     let mut algorithm = spec.build()?;
-    if shards > 1 {
-        algorithm.set_shards(shards);
-    }
     let tenants: Vec<_> = sequence.tenants().collect();
     let chunk = if batch == 0 { tenants.len().max(1) } else { batch };
     let start = Instant::now();
@@ -242,16 +237,16 @@ mod tests {
     }
 
     #[test]
-    fn batched_sharded_run_matches_sequential_run() {
+    fn batched_run_matches_sequential_run() {
         let seq = sequence(400, 6);
         for spec in [
             AlgorithmSpec::CubeFit { gamma: 2, classes: 10 },
             AlgorithmSpec::Rfi { gamma: 2, mu: 0.85 },
         ] {
             let sequential = run_sequence(&spec, &seq).unwrap();
-            for (shards, batch) in [(1, 64), (4, 64), (8, 0)] {
-                let batched = run_sequence_batched(&spec, &seq, shards, batch).unwrap();
-                assert_eq!(batched.servers, sequential.servers, "{spec:?} s{shards} b{batch}");
+            for batch in [64, 0] {
+                let batched = run_sequence_batched(&spec, &seq, batch).unwrap();
+                assert_eq!(batched.servers, sequential.servers, "{spec:?} b{batch}");
                 assert_eq!(batched.tenants, sequential.tenants);
                 assert_eq!(batched.robust, sequential.robust);
                 assert_eq!(batched.total_load, sequential.total_load);
