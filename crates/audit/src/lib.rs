@@ -73,10 +73,7 @@ pub fn algorithms(gamma: usize, seed: u64) -> Vec<Box<dyn Consolidator>> {
 /// [`AuditedConsolidator`] that cross-checks the placement against the
 /// oracle after every accepted tenant.
 #[must_use]
-pub fn audited_algorithms(
-    gamma: usize,
-    seed: u64,
-) -> Vec<AuditedConsolidator<Box<dyn Consolidator>>> {
+pub fn audited_algorithms(gamma: usize, seed: u64) -> Vec<AuditedConsolidator> {
     algorithms(gamma, seed).into_iter().map(AuditedConsolidator::new).collect()
 }
 

@@ -65,8 +65,8 @@ proptest! {
             let outcomes = batched.place_batch(tenants.clone()).unwrap();
             prop_assert_eq!(outcomes.len(), tenants.len());
             // Duplicate update targets deliberately stay in the stream:
-            // they exercise the second-touch path of the deferred re-key
-            // bookkeeping (RFI's first-touch slack capture in particular).
+            // a tenant re-estimated twice in one batch must end at its
+            // last load, exactly as in the sequential loop.
             batched.update_load_batch(&update_ops).unwrap();
             batched.remove_batch(&removals).unwrap();
 

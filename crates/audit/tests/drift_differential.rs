@@ -216,10 +216,9 @@ proptest! {
 /// spare servers (created by placing and removing heavy tenants), then a
 /// deterministic flash crowd drives tenants 0–3 from 0.3 to 0.9 through
 /// the audited `update_load` path.
-fn drifted_scenario() -> AuditedConsolidator<Box<dyn Consolidator>> {
+fn drifted_scenario() -> AuditedConsolidator {
     let config = CubeFitConfig::builder().replication(2).classes(5).build().unwrap();
-    let mut algo: AuditedConsolidator<Box<dyn Consolidator>> =
-        AuditedConsolidator::new(Box::new(CubeFit::new(config)));
+    let mut algo: AuditedConsolidator = AuditedConsolidator::new(Box::new(CubeFit::new(config)));
     for id in 0..12u64 {
         algo.place(Tenant::new(TenantId::new(id), Load::new(0.3).unwrap())).unwrap();
     }

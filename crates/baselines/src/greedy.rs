@@ -41,7 +41,6 @@ struct Greedy {
     reserve: ReserveMode,
     preference: Preference,
     fallbacks: usize,
-    scan_limit: usize,
     telemetry: BaselineTelemetry,
 }
 
@@ -57,7 +56,6 @@ impl Greedy {
             reserve,
             preference,
             fallbacks: 0,
-            scan_limit: usize::MAX,
             telemetry: BaselineTelemetry::default(),
         })
     }
@@ -71,15 +69,10 @@ impl Greedy {
             !chosen.contains(bin)
                 && extends_assignment(&self.placement, chosen, *bin, size, self.reserve, None)
         };
-        // Scans are budgeted: beyond `scan_limit` candidates the packer
-        // opens a fresh server instead of searching exhaustively, keeping
-        // placement O(1) amortized at data-center scale.
         let hit = match self.preference {
-            Preference::Fullest => {
-                self.index.iter_desc_at_most(1.0 - size).take(self.scan_limit).find(|b| ok(b))
-            }
-            Preference::Emptiest => self.index.iter_asc().take(self.scan_limit).find(|b| ok(b)),
-            Preference::Oldest => self.order.iter().copied().take(self.scan_limit).find(|b| ok(b)),
+            Preference::Fullest => self.index.iter_desc_at_most(1.0 - size).find(|b| ok(b)),
+            Preference::Emptiest => self.index.iter_asc().find(|b| ok(b)),
+            Preference::Oldest => self.order.iter().copied().find(|b| ok(b)),
         };
         (hit, scanned.get())
     }
@@ -182,26 +175,6 @@ impl Greedy {
         Ok(LoadUpdateOutcome { tenant, old_load, new_load, bins })
     }
 
-    /// Batch fast paths. Greedy removals and load updates never query the
-    /// failover reserve (their index footprint is the level-keyed
-    /// [`LevelIndex`] plus authoritative placement levels), so whole
-    /// batches run in the index's deferred-maintenance mode and pay one
-    /// failover-cache rebuild per touched bin instead of one per op.
-    fn remove_batch(&mut self, tenants: &[TenantId]) -> Result<Vec<RemovalOutcome>> {
-        self.placement.begin_batch();
-        let result = tenants.iter().map(|tenant| self.remove(*tenant)).collect();
-        self.placement.end_batch();
-        result
-    }
-
-    fn update_load_batch(&mut self, updates: &[(TenantId, f64)]) -> Result<Vec<LoadUpdateOutcome>> {
-        self.placement.begin_batch();
-        let result =
-            updates.iter().map(|(tenant, load)| self.update_load(*tenant, *load)).collect();
-        self.placement.end_batch();
-        result
-    }
-
     /// Placement decisions query the reserve per replica, so batched
     /// placement keeps the sequential decision loop and only amortizes the
     /// tenant-table growth.
@@ -226,11 +199,9 @@ impl Greedy {
             let load = self.placement.tenant_load(tenant).expect("orphaned tenants are placed");
             let replica = load / gamma;
             let candidates: Vec<BinId> = match self.preference {
-                Preference::Fullest => {
-                    self.index.iter_desc_at_most(1.0 - replica).take(self.scan_limit).collect()
-                }
-                Preference::Emptiest => self.index.iter_asc().take(self.scan_limit).collect(),
-                Preference::Oldest => self.order.iter().copied().take(self.scan_limit).collect(),
+                Preference::Fullest => self.index.iter_desc_at_most(1.0 - replica).collect(),
+                Preference::Emptiest => self.index.iter_asc().collect(),
+                Preference::Oldest => self.order.clone(),
             };
             let target = recovery::pick_target(&self.placement, tenant, from, failed, candidates);
             let to = match target {
@@ -310,14 +281,6 @@ macro_rules! greedy_packer {
             pub fn fallbacks(&self) -> usize {
                 self.inner.fallbacks
             }
-
-            /// Bounds how many candidate servers each replica scan
-            /// inspects (default: exhaustive).
-            #[must_use]
-            pub fn with_scan_limit(mut self, limit: usize) -> Self {
-                self.inner.scan_limit = limit.max(1);
-                self
-            }
         }
 
         impl Consolidator for $name {
@@ -335,17 +298,6 @@ macro_rules! greedy_packer {
 
             fn place_batch(&mut self, tenants: Vec<Tenant>) -> Result<Vec<PlacementOutcome>> {
                 self.inner.place_batch(tenants)
-            }
-
-            fn remove_batch(&mut self, tenants: &[TenantId]) -> Result<Vec<RemovalOutcome>> {
-                self.inner.remove_batch(tenants)
-            }
-
-            fn update_load_batch(
-                &mut self,
-                updates: &[(TenantId, f64)],
-            ) -> Result<Vec<LoadUpdateOutcome>> {
-                self.inner.update_load_batch(updates)
             }
 
             fn recover(&mut self, failed: &[BinId]) -> Result<RecoveryReport> {

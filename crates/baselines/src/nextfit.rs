@@ -112,23 +112,6 @@ impl Consolidator for NextFit {
         Ok(LoadUpdateOutcome { tenant, old_load, new_load, bins })
     }
 
-    fn remove_batch(&mut self, tenants: &[TenantId]) -> Result<Vec<RemovalOutcome>> {
-        // No derived index and no reserve queries: the whole batch runs in
-        // the index's deferred-maintenance mode.
-        self.placement.begin_batch();
-        let result = tenants.iter().map(|tenant| self.remove(*tenant)).collect();
-        self.placement.end_batch();
-        result
-    }
-
-    fn update_load_batch(&mut self, updates: &[(TenantId, f64)]) -> Result<Vec<LoadUpdateOutcome>> {
-        self.placement.begin_batch();
-        let result =
-            updates.iter().map(|(tenant, load)| self.update_load(*tenant, *load)).collect();
-        self.placement.end_batch();
-        result
-    }
-
     /// Re-homes orphans scanning all bins in opening order (recovery is an
     /// offline repair pass, exempt from the bounded-space window). A failed
     /// window server closes the window for good.

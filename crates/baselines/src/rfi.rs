@@ -11,7 +11,6 @@ use cubefit_core::{
 };
 use cubefit_telemetry::{Recorder, TraceEvent};
 use std::cell::Cell;
-use std::collections::HashMap;
 
 /// **RFI**: replica-level Best Fit with a *single-failure* failover reserve
 /// and an interleaving cap `μ`.
@@ -56,13 +55,6 @@ pub struct Rfi {
     index: LevelIndex,
     mu: f64,
     fallbacks: usize,
-    scan_limit: usize,
-    /// When `Some`, removals and load updates record each touched bin's
-    /// pre-batch slack key (captured at first touch, while the bin's
-    /// failover cache is still clean) instead of re-keying immediately; the
-    /// batch fast path re-keys every recorded bin once at the end. `None`
-    /// outside batches.
-    deferred_rekey: Option<HashMap<BinId, f64>>,
     telemetry: BaselineTelemetry,
 }
 
@@ -86,8 +78,6 @@ impl Rfi {
             index: LevelIndex::new(),
             mu,
             fallbacks: 0,
-            scan_limit: usize::MAX,
-            deferred_rekey: None,
             telemetry: BaselineTelemetry::default(),
         })
     }
@@ -105,14 +95,6 @@ impl Rfi {
         self.fallbacks
     }
 
-    /// Bounds how many candidate servers each replica scan inspects
-    /// (default 512; `usize::MAX` for exhaustive scans).
-    #[must_use]
-    pub fn with_scan_limit(mut self, limit: usize) -> Self {
-        self.scan_limit = limit.max(1);
-        self
-    }
-
     /// Robust slack of `bin` (the index key).
     fn slack(&self, bin: BinId) -> f64 {
         let level = self.placement.level(bin);
@@ -126,42 +108,18 @@ impl Rfi {
         bin
     }
 
-    /// Captures the slack keys of `bins` before a removal/load update
-    /// mutates them. Outside a batch, returns them for the caller's
-    /// immediate per-op re-key. Inside a batch, records each bin's key at
-    /// *first touch* — while its failover cache is still clean, so the
-    /// query is valid and equals the key currently stored in the index —
-    /// and returns `None` (the batch re-keys once at the end).
-    fn note_old_slacks(&mut self, bins: &[BinId]) -> Option<Vec<(BinId, f64)>> {
-        match self.deferred_rekey.as_ref() {
-            None => Some(bins.iter().map(|&b| (b, self.slack(b))).collect()),
-            Some(pending) => {
-                let missing: Vec<BinId> =
-                    bins.iter().copied().filter(|b| !pending.contains_key(b)).collect();
-                let slacks: Vec<(BinId, f64)> =
-                    missing.into_iter().map(|b| (b, self.slack(b))).collect();
-                self.deferred_rekey.as_mut().expect("checked above").extend(slacks);
-                None
-            }
-        }
+    /// The current slack keys of `bins`, captured before a mutation so the
+    /// index entries can be moved to their new keys afterwards.
+    fn old_slacks(&self, bins: &[BinId]) -> Vec<(BinId, f64)> {
+        bins.iter().map(|&b| (b, self.slack(b))).collect()
     }
 
-    /// Runs `ops` with slack re-keys deferred and the placement's index in
-    /// deferred-maintenance mode, then re-keys every touched bin once
-    /// (deterministic bin order) from its recorded pre-batch key to its
-    /// final slack.
-    fn batched<T>(&mut self, ops: impl FnOnce(&mut Self) -> Result<Vec<T>>) -> Result<Vec<T>> {
-        self.placement.begin_batch();
-        self.deferred_rekey = Some(HashMap::new());
-        let result = ops(self);
-        let pending = self.deferred_rekey.take().expect("batch mode set above");
-        self.placement.end_batch();
-        let mut pending: Vec<(BinId, f64)> = pending.into_iter().collect();
-        pending.sort_unstable_by_key(|(bin, _)| *bin);
-        for (bin, old_slack) in pending {
+    /// Moves each bin's index entry from its captured key to its current
+    /// slack.
+    fn rekey(&mut self, old: Vec<(BinId, f64)>) {
+        for (bin, old_slack) in old {
             self.index.update(bin, old_slack, self.slack(bin));
         }
-        result
     }
 }
 
@@ -181,7 +139,7 @@ impl Consolidator for Rfi {
             // range yields already satisfies the μ cap and the reserve
             // (modulo sibling adjustments, which the check below adds).
             let scanned = Cell::new(0_usize);
-            let candidate = self.index.iter_asc_at_least(size).take(self.scan_limit).find(|&bin| {
+            let candidate = self.index.iter_asc_at_least(size).find(|&bin| {
                 scanned.set(scanned.get() + 1);
                 !chosen.contains(&bin)
                     && extends_assignment(
@@ -216,11 +174,9 @@ impl Consolidator for Rfi {
             opened = gamma;
         }
         let pending = self.telemetry.pending_opens(&self.placement, &chosen);
-        let old: Vec<(BinId, f64)> = chosen.iter().map(|&b| (b, self.slack(b))).collect();
+        let old = self.old_slacks(&chosen);
         self.placement.place_tenant(&tenant, &chosen)?;
-        for (bin, old_slack) in old {
-            self.index.update(bin, old_slack, self.slack(bin));
-        }
+        self.rekey(old);
         self.telemetry.opened(&self.placement, &pending);
         self.telemetry.placed(&tenant, &chosen, opened);
         Ok(PlacementOutcome {
@@ -237,13 +193,9 @@ impl Consolidator for Rfi {
         // slack key moves, so only these keys are refreshed.
         let touched: Vec<BinId> =
             self.placement.tenant_bins(tenant).ok_or(Error::UnknownTenant { tenant })?.to_vec();
-        let old = self.note_old_slacks(&touched);
+        let old = self.old_slacks(&touched);
         let (load, bins) = self.placement.remove_tenant(tenant)?;
-        if let Some(old) = old {
-            for (bin, old_slack) in old {
-                self.index.update(bin, old_slack, self.slack(bin));
-            }
-        }
+        self.rekey(old);
         self.telemetry.recorder.emit(|| TraceEvent::TenantDeparted { tenant: tenant.get(), load });
         Ok(RemovalOutcome { tenant, load, bins })
     }
@@ -254,13 +206,9 @@ impl Consolidator for Rfi {
         // load, so only those slack keys are refreshed.
         let touched: Vec<BinId> =
             self.placement.tenant_bins(tenant).ok_or(Error::UnknownTenant { tenant })?.to_vec();
-        let old = self.note_old_slacks(&touched);
+        let old = self.old_slacks(&touched);
         let (old_load, bins) = self.placement.update_load(tenant, new_load)?;
-        if let Some(old) = old {
-            for (bin, old_slack) in old {
-                self.index.update(bin, old_slack, self.slack(bin));
-            }
-        }
+        self.rekey(old);
         Ok(LoadUpdateOutcome { tenant, old_load, new_load, bins })
     }
 
@@ -269,16 +217,6 @@ impl Consolidator for Rfi {
         // stays sequential; the batch only amortizes table growth.
         self.placement.reserve_tenants(tenants.len());
         tenants.into_iter().map(|tenant| self.place(tenant)).collect()
-    }
-
-    fn remove_batch(&mut self, tenants: &[TenantId]) -> Result<Vec<RemovalOutcome>> {
-        self.batched(|this| tenants.iter().map(|tenant| this.remove(*tenant)).collect())
-    }
-
-    fn update_load_batch(&mut self, updates: &[(TenantId, f64)]) -> Result<Vec<LoadUpdateOutcome>> {
-        self.batched(|this| {
-            updates.iter().map(|(tenant, load)| this.update_load(*tenant, *load)).collect()
-        })
     }
 
     /// Re-homes orphaned replicas tightest-feasible-first through the full
@@ -296,8 +234,7 @@ impl Consolidator for Rfi {
             }
             let load = self.placement.tenant_load(tenant).expect("orphaned tenants are placed");
             let replica = load / gamma;
-            let candidates: Vec<BinId> =
-                self.index.iter_asc_at_least(replica).take(self.scan_limit).collect();
+            let candidates: Vec<BinId> = self.index.iter_asc_at_least(replica).collect();
             let target = recovery::pick_target(&self.placement, tenant, from, failed, candidates);
             let to = match target {
                 Some(bin) => bin,
@@ -314,11 +251,9 @@ impl Consolidator for Rfi {
             touched.push(to);
             touched.sort_unstable();
             touched.dedup();
-            let old: Vec<(BinId, f64)> = touched.iter().map(|&b| (b, self.slack(b))).collect();
+            let old = self.old_slacks(&touched);
             self.placement.move_replica(tenant, from, to)?;
-            for (bin, old_slack) in old {
-                self.index.update(bin, old_slack, self.slack(bin));
-            }
+            self.rekey(old);
             report.replicas_migrated += 1;
             report.moved_load += replica;
             self.telemetry.recorder.emit(|| TraceEvent::ReplicaMigrated {
@@ -343,11 +278,9 @@ impl Consolidator for Rfi {
         touched.push(to);
         touched.sort_unstable();
         touched.dedup();
-        let old: Vec<(BinId, f64)> = touched.iter().map(|&b| (b, self.slack(b))).collect();
+        let old = self.old_slacks(&touched);
         self.placement.move_replica(tenant, from, to)?;
-        for (bin, old_slack) in old {
-            self.index.update(bin, old_slack, self.slack(bin));
-        }
+        self.rekey(old);
         self.telemetry.recorder.emit(|| TraceEvent::ReplicaMigrated {
             tenant: tenant.get(),
             from: from.index(),

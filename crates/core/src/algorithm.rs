@@ -147,12 +147,13 @@ pub trait Consolidator {
     /// Places a batch of tenants, in order, as if [`Consolidator::place`]
     /// had been called once per tenant.
     ///
-    /// The default implementation *is* that sequential loop, so every
-    /// algorithm supports batching out of the box. Implementations may
-    /// override it with an amortized index-maintenance fast path, but the
-    /// resulting placement (bins chosen, outcomes, robustness verdict) must
-    /// be identical to the sequential loop — batching is a throughput
-    /// optimization, never a semantic change.
+    /// The three `*_batch` methods default to that sequential loop, and
+    /// algorithms keep the defaults: a batch is the per-op path, so batch ≡
+    /// sequential holds by construction. (CubeFit, RFI and the greedy
+    /// packers override this method only to pre-size the tenant table
+    /// before the same loop.) Layers override the batch methods to treat a
+    /// batch as one unit — the journal writes it as one WAL frame — while
+    /// still running the inner algorithm's batch method.
     ///
     /// # Errors
     ///
@@ -233,65 +234,6 @@ pub trait Consolidator {
     /// algorithms need no telemetry code.
     fn set_recorder(&mut self, recorder: Recorder) {
         let _ = recorder;
-    }
-}
-
-impl Consolidator for Box<dyn Consolidator> {
-    /// Delegates to the boxed algorithm.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the boxed algorithm's errors untouched.
-    fn place(&mut self, tenant: Tenant) -> Result<PlacementOutcome> {
-        (**self).place(tenant)
-    }
-
-    fn remove(&mut self, tenant: TenantId) -> Result<RemovalOutcome> {
-        (**self).remove(tenant)
-    }
-
-    fn recover(&mut self, failed: &[BinId]) -> Result<RecoveryReport> {
-        (**self).recover(failed)
-    }
-
-    fn update_load(&mut self, tenant: TenantId, new_load: f64) -> Result<LoadUpdateOutcome> {
-        (**self).update_load(tenant, new_load)
-    }
-
-    fn place_batch(&mut self, tenants: Vec<Tenant>) -> Result<Vec<PlacementOutcome>> {
-        (**self).place_batch(tenants)
-    }
-
-    fn remove_batch(&mut self, tenants: &[TenantId]) -> Result<Vec<RemovalOutcome>> {
-        (**self).remove_batch(tenants)
-    }
-
-    fn update_load_batch(&mut self, updates: &[(TenantId, f64)]) -> Result<Vec<LoadUpdateOutcome>> {
-        (**self).update_load_batch(updates)
-    }
-
-    fn migrate(&mut self, tenant: TenantId, from: BinId, to: BinId) -> Result<()> {
-        (**self).migrate(tenant, from, to)
-    }
-
-    fn clone_box(&self) -> Box<dyn Consolidator> {
-        (**self).clone_box()
-    }
-
-    fn placement(&self) -> &Placement {
-        (**self).placement()
-    }
-
-    fn gamma(&self) -> usize {
-        (**self).gamma()
-    }
-
-    fn name(&self) -> &'static str {
-        (**self).name()
-    }
-
-    fn set_recorder(&mut self, recorder: Recorder) {
-        (**self).set_recorder(recorder);
     }
 }
 

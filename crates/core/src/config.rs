@@ -60,7 +60,6 @@ pub struct CubeFitConfig {
     tiny_policy: TinyPolicy,
     stage1: Stage1Eligibility,
     tiny_stage1: bool,
-    scan_limit: usize,
 }
 
 impl CubeFitConfig {
@@ -105,13 +104,6 @@ impl CubeFitConfig {
         self.tiny_stage1
     }
 
-    /// Maximum mature-bin candidates inspected per replica during stage-1
-    /// Best-Fit scans.
-    #[must_use]
-    pub fn scan_limit(&self) -> usize {
-        self.scan_limit
-    }
-
     /// The size classifier induced by this configuration.
     #[must_use]
     pub fn classifier(&self) -> Classifier {
@@ -151,7 +143,6 @@ pub struct CubeFitConfigBuilder {
     tiny_policy: TinyPolicy,
     stage1: Stage1Eligibility,
     tiny_stage1: Option<bool>,
-    scan_limit: Option<usize>,
 }
 
 impl CubeFitConfigBuilder {
@@ -194,19 +185,6 @@ impl CubeFitConfigBuilder {
         self
     }
 
-    /// Bounds how many mature-bin candidates a stage-1 Best-Fit scan
-    /// inspects per replica (default 512).
-    ///
-    /// The bound keeps placement `O(1)` amortized at data-center scale; it
-    /// only affects which of several *feasible* mature bins is chosen, and
-    /// only once the mature population exceeds the limit. Use
-    /// `usize::MAX` for the unbounded scan of Algorithm 1.
-    #[must_use]
-    pub fn scan_limit(mut self, limit: usize) -> Self {
-        self.scan_limit = Some(limit.max(1));
-        self
-    }
-
     /// Validates and builds the configuration.
     ///
     /// # Errors
@@ -240,7 +218,6 @@ impl CubeFitConfigBuilder {
             tiny_policy: self.tiny_policy,
             stage1: self.stage1,
             tiny_stage1: self.tiny_stage1.unwrap_or(true),
-            scan_limit: self.scan_limit.unwrap_or(512),
         })
     }
 }
@@ -257,14 +234,12 @@ mod tests {
         assert_eq!(c.tiny_policy(), TinyPolicy::ClassKMinus1);
         assert_eq!(c.stage1_eligibility(), Stage1Eligibility::SmallerClassBins);
         assert!(c.tiny_stage1());
-        assert_eq!(c.scan_limit(), 512);
     }
 
     #[test]
-    fn builder_overrides_scan_and_tiny_stage1() {
-        let c = CubeFitConfig::builder().tiny_stage1(false).scan_limit(0).build().unwrap();
+    fn builder_overrides_tiny_stage1() {
+        let c = CubeFitConfig::builder().tiny_stage1(false).build().unwrap();
         assert!(!c.tiny_stage1());
-        assert_eq!(c.scan_limit(), 1, "limit is clamped to at least 1");
     }
 
     #[test]

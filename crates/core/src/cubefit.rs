@@ -75,12 +75,6 @@ pub struct CubeFit {
     /// longer robust *by construction* and every stage-2 assignment must
     /// pass the same predicate stage 1 uses (see [`CubeFit::place`]).
     cube_perturbed: bool,
-    /// When `Some`, [`Consolidator::remove`]/[`Consolidator::update_load`]
-    /// record the bins whose mature slack key changed instead of re-keying
-    /// immediately — the batch fast path re-keys the deduplicated union
-    /// once, after the placement's index leaves deferred mode. `None`
-    /// outside batches (the per-op re-key path).
-    deferred_rekey: Option<Vec<BinId>>,
     counters: CubeFitStats,
     instruments: Instruments,
 }
@@ -146,7 +140,6 @@ impl CubeFit {
             placed_via: HashMap::new(),
             free_cells: BTreeMap::new(),
             cube_perturbed: false,
-            deferred_rekey: None,
             counters: CubeFitStats::default(),
             instruments: Instruments::default(),
             config,
@@ -183,7 +176,6 @@ impl CubeFit {
                 self.config.gamma(),
                 &growth_hosts,
                 self.multi.headroom(),
-                self.config.scan_limit(),
             );
             self.note_mfit(tenant, self.config.classes(), &scan);
             if let Some(bins) = scan.bins {
@@ -242,36 +234,6 @@ impl CubeFit {
     /// by.
     fn slack(&self, bin: BinId) -> f64 {
         1.0 - self.placement.level(bin) - self.placement.worst_failover(bin)
-    }
-
-    /// Re-keys `bin`'s mature slack — immediately outside a batch, or by
-    /// recording it for the single end-of-batch re-key pass (the slack
-    /// queries the failover reserve, which is invalid while the index is
-    /// in deferred-maintenance mode). Equivalent either way: the mature set
-    /// keys by the *final* slack value, and no stage-1 admission runs
-    /// between batched ops.
-    fn rekey(&mut self, bin: BinId) {
-        if let Some(pending) = self.deferred_rekey.as_mut() {
-            pending.push(bin);
-        } else {
-            self.mature.update_slack(bin, self.slack(bin));
-        }
-    }
-
-    /// Runs `ops` between `begin_batch`/`end_batch` with slack re-keys
-    /// deferred, then re-keys the deduplicated union of touched bins once.
-    fn batched<T>(&mut self, ops: impl FnOnce(&mut Self) -> Result<Vec<T>>) -> Result<Vec<T>> {
-        self.placement.begin_batch();
-        self.deferred_rekey = Some(Vec::new());
-        let result = ops(self);
-        let mut pending = self.deferred_rekey.take().expect("batch mode set above");
-        self.placement.end_batch();
-        pending.sort_unstable();
-        pending.dedup();
-        for bin in pending {
-            self.mature.update_slack(bin, self.slack(bin));
-        }
-        result
     }
 
     /// Commits a tenant to its bins, keeping the mature-set slack keys
@@ -430,7 +392,7 @@ impl CubeFit {
     /// reserve.
     fn checked_cube_tuple(&mut self, tau: usize, size: f64) -> Vec<SlotTarget> {
         let gamma = self.config.gamma();
-        for _ in 0..self.config.scan_limit().max(1) {
+        for _ in 0..mfit::SCAN_LIMIT {
             let groups = self.groups.entry(tau).or_insert_with(|| ClassGroups::new(tau, gamma));
             let targets = groups.assign(&mut self.placement);
             let bins: Vec<BinId> = targets.iter().map(|t| t.bin).collect();
@@ -487,7 +449,6 @@ impl Consolidator for CubeFit {
                 gamma,
                 &growth_hosts,
                 self.multi.headroom(),
-                self.config.scan_limit(),
             );
             self.note_mfit(&tenant, class.index(), &scan);
             if let Some(bins) = scan.bins {
@@ -551,7 +512,7 @@ impl Consolidator for CubeFit {
         let via = self.placed_via.remove(&tenant).unwrap_or(PlacedVia::MatureFit);
         // Removal shrinks levels and shared loads of exactly these bins.
         for &bin in &bins {
-            self.rekey(bin);
+            self.mature.update_slack(bin, self.slack(bin));
         }
         if let PlacedVia::Cube(tau) = via {
             // The vacated cell (the tenant's bins at departure time, which
@@ -583,7 +544,7 @@ impl Consolidator for CubeFit {
         // The drift changes exactly these bins' levels and the shared loads
         // among them; their mature slack keys must follow.
         for &bin in &bins {
-            self.rekey(bin);
+            self.mature.update_slack(bin, self.slack(bin));
         }
         if new_load > old_load {
             // Upward drift inflates replica sizes beyond what the cube's
@@ -602,19 +563,6 @@ impl Consolidator for CubeFit {
         // amortizes the tenant-table growth.
         self.placement.reserve_tenants(tenants.len());
         tenants.into_iter().map(|tenant| self.place(tenant)).collect()
-    }
-
-    fn remove_batch(&mut self, tenants: &[TenantId]) -> Result<Vec<RemovalOutcome>> {
-        // Removals never query the reserve, so the whole batch runs in the
-        // index's deferred-maintenance mode with one slack re-key per
-        // touched bin at the end.
-        self.batched(|this| tenants.iter().map(|tenant| this.remove(*tenant)).collect())
-    }
-
-    fn update_load_batch(&mut self, updates: &[(TenantId, f64)]) -> Result<Vec<LoadUpdateOutcome>> {
-        self.batched(|this| {
-            updates.iter().map(|(tenant, load)| this.update_load(*tenant, *load)).collect()
-        })
     }
 
     fn recover(&mut self, failed: &[BinId]) -> Result<RecoveryReport> {
@@ -640,7 +588,7 @@ impl Consolidator for CubeFit {
                 self.mature
                     .iter_fitting(replica)
                     .filter(|bin| !growth_hosts.contains(bin))
-                    .take(self.config.scan_limit()),
+                    .take(mfit::SCAN_LIMIT),
             );
             let to = match target {
                 Some(bin) => bin,

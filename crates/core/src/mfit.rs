@@ -18,6 +18,13 @@ use crate::smallbuf::SmallBuf;
 use crate::EPSILON;
 use std::collections::BTreeSet;
 
+/// Most mature-bin candidates a stage-1 Best-Fit scan inspects per
+/// replica. The bound keeps placement `O(1)` amortized at data-center
+/// scale; it only affects which of several *feasible* mature bins is
+/// chosen, and only once the mature population exceeds it. CubeFit bounds
+/// its recovery scans and perturbed-cube tuple draws by the same number.
+pub(crate) const SCAN_LIMIT: usize = 512;
+
 /// Whether `bin` m-fits a replica of size `size`, assuming the tenant's
 /// other replicas are (tentatively) placed on `siblings`.
 ///
@@ -151,7 +158,7 @@ pub(crate) struct Stage1Scan {
 /// and class `class`.
 ///
 /// Does not mutate the placement; the caller commits the assignment.
-// Nine orthogonal knobs, all flowing straight from `CubeFit`'s config; a
+// Eight orthogonal knobs, all flowing straight from `CubeFit`'s state; a
 // one-use parameter struct would only rename them.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn try_stage1(
@@ -163,12 +170,11 @@ pub(crate) fn try_stage1(
     gamma: usize,
     growth_hosts: &[BinId],
     headroom: f64,
-    scan_limit: usize,
 ) -> Stage1Scan {
     let mut scanned = 0usize;
     let mut chosen: Vec<BinId> = Vec::with_capacity(gamma);
     for _ in 0..gamma {
-        let candidate = mature.iter_fitting(size).take(scan_limit).find(|&bin| {
+        let candidate = mature.iter_fitting(size).take(SCAN_LIMIT).find(|&bin| {
             scanned += 1;
             if chosen.contains(&bin) {
                 return false;
@@ -270,7 +276,6 @@ mod tests {
             2,
             &[],
             0.0,
-            usize::MAX,
         )
         .bins
         .expect("0.1 replicas m-fit");
@@ -294,7 +299,6 @@ mod tests {
             2,
             &[],
             0.0,
-            usize::MAX,
         )
         .bins
         .is_none());
@@ -313,7 +317,6 @@ mod tests {
             2,
             &[],
             0.0,
-            usize::MAX,
         )
         .bins
         .is_none());
@@ -326,7 +329,6 @@ mod tests {
             2,
             &[],
             0.0,
-            usize::MAX,
         )
         .bins
         .is_some());
@@ -353,7 +355,6 @@ mod tests {
             2,
             &[],
             0.0,
-            usize::MAX,
         )
         .bins
         .unwrap();
@@ -451,7 +452,6 @@ mod tests {
             2,
             &[],
             0.0,
-            usize::MAX,
         )
         .bins
         .is_none());

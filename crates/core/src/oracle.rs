@@ -411,23 +411,31 @@ pub fn replay_json(placement: &Placement) -> String {
 ///
 /// # fn main() -> Result<(), cubefit_core::Error> {
 /// let config = CubeFitConfig::builder().replication(2).classes(5).build()?;
-/// let mut audited = AuditedConsolidator::new(CubeFit::new(config));
+/// let mut audited = AuditedConsolidator::new(Box::new(CubeFit::new(config)));
 /// audited.place(Tenant::with_load(Load::new(0.4)?))?; // audited in place
 /// assert_eq!(audited.name(), "cubefit");
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug)]
-pub struct AuditedConsolidator<A> {
-    inner: A,
+pub struct AuditedConsolidator {
+    inner: Box<dyn Consolidator>,
     stride: usize,
     placed: usize,
 }
 
-impl<A: Consolidator> AuditedConsolidator<A> {
+impl std::fmt::Debug for AuditedConsolidator {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("AuditedConsolidator")
+            .field("algorithm", &self.inner.name())
+            .field("stride", &self.stride)
+            .finish_non_exhaustive()
+    }
+}
+
+impl AuditedConsolidator {
     /// Wraps `inner`, auditing after every placement.
     #[must_use]
-    pub fn new(inner: A) -> Self {
+    pub fn new(inner: Box<dyn Consolidator>) -> Self {
         Self::with_stride(inner, 1)
     }
 
@@ -435,20 +443,8 @@ impl<A: Consolidator> AuditedConsolidator<A> {
     /// to at least 1). Larger strides trade detection granularity for
     /// speed on long streams.
     #[must_use]
-    pub fn with_stride(inner: A, stride: usize) -> Self {
+    pub fn with_stride(inner: Box<dyn Consolidator>, stride: usize) -> Self {
         AuditedConsolidator { inner, stride: stride.max(1), placed: 0 }
-    }
-
-    /// The wrapped algorithm.
-    #[must_use]
-    pub fn inner(&self) -> &A {
-        &self.inner
-    }
-
-    /// Unwraps the audited algorithm.
-    #[must_use]
-    pub fn into_inner(self) -> A {
-        self.inner
     }
 
     /// Number of audits performed so far.
@@ -480,7 +476,7 @@ impl<A: Consolidator> AuditedConsolidator<A> {
 /// [`Consolidator::remove`]/[`Consolidator::update_load`] below, so a
 /// divergence is pinned to the exact op that introduced it instead of to a
 /// whole batch.
-impl<A: Consolidator> Consolidator for AuditedConsolidator<A> {
+impl Consolidator for AuditedConsolidator {
     /// Places the tenant via the wrapped algorithm, then audits.
     ///
     /// # Errors
@@ -795,20 +791,20 @@ mod tests {
 
     #[test]
     fn audited_wrapper_is_transparent() {
-        let mut audited = AuditedConsolidator::with_stride(FreshBins(Placement::new(2)), 2);
+        let mut audited =
+            AuditedConsolidator::with_stride(Box::new(FreshBins(Placement::new(2))), 2);
         for id in 0..5u64 {
             let outcome = audited.place(tenant(id, 0.4)).unwrap();
             assert_eq!(outcome.bins.len(), 2);
         }
         assert_eq!(audited.audits(), 2);
         assert_eq!(audited.gamma(), 2);
-        assert_eq!(audited.inner().placement().tenant_count(), 5);
-        assert_eq!(audited.into_inner().0.tenant_count(), 5);
+        assert_eq!(audited.placement().tenant_count(), 5);
     }
 
     #[test]
     fn audited_wrapper_replays_removal_and_recovery() {
-        let mut audited = AuditedConsolidator::new(FreshBins(Placement::new(2)));
+        let mut audited = AuditedConsolidator::new(Box::new(FreshBins(Placement::new(2))));
         let a = audited.place(tenant(0, 0.5)).unwrap();
         let b = audited.place(tenant(1, 0.7)).unwrap();
         audited.place(tenant(2, 0.3)).unwrap();
@@ -829,7 +825,7 @@ mod tests {
 
     #[test]
     fn audited_wrapper_replays_load_updates() {
-        let mut audited = AuditedConsolidator::new(FreshBins(Placement::new(2)));
+        let mut audited = AuditedConsolidator::new(Box::new(FreshBins(Placement::new(2))));
         let a = audited.place(tenant(0, 0.5)).unwrap();
         audited.place(tenant(1, 0.3)).unwrap();
         let outcome = audited.update_load(TenantId::new(0), 0.9).unwrap();
@@ -889,7 +885,7 @@ mod tests {
                 "fixed"
             }
         }
-        let mut audited = AuditedConsolidator::new(Fixed(p, bins));
+        let mut audited = AuditedConsolidator::new(Box::new(Fixed(p, bins)));
         audited.place(tenant(0, 0.2)).unwrap();
         assert!(audited.place(tenant(0, 0.2)).is_err());
         assert_eq!(audited.audits(), 1);

@@ -66,22 +66,6 @@ impl Placement {
         }
     }
 
-    /// Enters the shared-load index's deferred-maintenance mode for a
-    /// mutation batch: top-`γ−1` cache rebuilds are postponed and each
-    /// touched row is rebuilt once by [`Self::end_batch`]. Failover-reserve
-    /// queries on touched bins are invalid until then; levels and
-    /// shared-load point lookups stay exact. Callers must pair this with
-    /// `end_batch` on every path, including errors.
-    pub fn begin_batch(&mut self) {
-        self.shared.begin_deferred();
-    }
-
-    /// Leaves deferred-maintenance mode, rebuilding every dirty failover
-    /// cache exactly once.
-    pub fn end_batch(&mut self) {
-        self.shared.end_deferred();
-    }
-
     /// Reserves capacity for `additional` more tenants (batch-placement
     /// fast path: one table growth instead of many).
     pub fn reserve_tenants(&mut self, additional: usize) {

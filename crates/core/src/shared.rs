@@ -14,7 +14,7 @@
 
 use crate::bin::BinId;
 use crate::smallbuf::SmallBuf;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 /// Per-bin cache of the `k` largest shared-load entries.
 #[derive(Debug, Clone, Default)]
@@ -85,39 +85,11 @@ pub(crate) struct SharedIndex {
     /// `map[i][j] = |Sᵢ ∩ Sⱼ|` (stored for both orders).
     map: Vec<HashMap<BinId, f64>>,
     tops: Vec<TopK>,
-    /// When `Some`, top-cache maintenance is deferred: rows touched by
-    /// [`Self::add`]/[`Self::sub`] are recorded here and rebuilt once by
-    /// [`Self::end_deferred`]. Reserve queries on dirty rows are invalid
-    /// while active (debug builds assert). See
-    /// [`crate::Placement::begin_batch`].
-    deferred_dirty: Option<HashSet<usize>>,
 }
 
 impl SharedIndex {
     pub(crate) fn new(gamma: usize) -> Self {
-        SharedIndex { k: gamma - 1, map: Vec::new(), tops: Vec::new(), deferred_dirty: None }
-    }
-
-    /// Enters deferred-maintenance mode: subsequent mutations update the
-    /// matrix only, and the touched rows' top caches are rebuilt in one
-    /// pass by [`Self::end_deferred`]. Reserve queries must not be issued
-    /// until then. Calling twice is a no-op (the dirty set is kept).
-    pub(crate) fn begin_deferred(&mut self) {
-        if self.deferred_dirty.is_none() {
-            self.deferred_dirty = Some(HashSet::new());
-        }
-    }
-
-    /// Leaves deferred-maintenance mode, rebuilding each dirty row's top
-    /// cache from its matrix row exactly once. Safe to call when the mode
-    /// was never entered.
-    pub(crate) fn end_deferred(&mut self) {
-        if let Some(dirty) = self.deferred_dirty.take() {
-            for row in dirty {
-                let (map_row, tops) = (&self.map[row], &mut self.tops[row]);
-                tops.rebuild(self.k, map_row.iter());
-            }
-        }
+        SharedIndex { k: gamma - 1, map: Vec::new(), tops: Vec::new() }
     }
 
     /// Registers a newly opened bin.
@@ -138,11 +110,7 @@ impl SharedIndex {
             let entry = self.map[x.0].entry(y).or_insert(0.0);
             *entry += delta;
             let value = *entry;
-            if let Some(dirty) = self.deferred_dirty.as_mut() {
-                dirty.insert(x.0);
-            } else {
-                self.tops[x.0].update(self.k, y, value);
-            }
+            self.tops[x.0].update(self.k, y, value);
         }
     }
 
@@ -164,12 +132,8 @@ impl SharedIndex {
             if *entry <= 1e-12 {
                 self.map[x.0].remove(&y);
             }
-            if let Some(dirty) = self.deferred_dirty.as_mut() {
-                dirty.insert(x.0);
-            } else {
-                let (row, tops) = (&self.map[x.0], &mut self.tops[x.0]);
-                tops.rebuild(self.k, row.iter());
-            }
+            let (row, tops) = (&self.map[x.0], &mut self.tops[x.0]);
+            tops.rebuild(self.k, row.iter());
         }
     }
 
@@ -181,10 +145,6 @@ impl SharedIndex {
     /// Sum of the `γ − 1` largest shared loads of `bin`: the worst-case
     /// extra load redirected to `bin` by any `γ − 1` simultaneous failures.
     pub(crate) fn worst_failover(&self, bin: BinId) -> f64 {
-        debug_assert!(
-            self.deferred_dirty.as_ref().is_none_or(|dirty| !dirty.contains(&bin.0)),
-            "reserve query on a dirty row in deferred-maintenance mode"
-        );
         self.tops[bin.0].sum()
     }
 
@@ -201,10 +161,6 @@ impl SharedIndex {
         k: usize,
     ) -> f64 {
         debug_assert!(k <= self.k, "top cache only holds γ−1 entries");
-        debug_assert!(
-            self.deferred_dirty.as_ref().is_none_or(|dirty| !dirty.contains(&bin.0)),
-            "reserve query on a dirty row in deferred-maintenance mode"
-        );
         let top = &self.tops[bin.0].entries;
         // Fast path: no adjustments — the cache already holds the answer.
         if adjustments.is_empty() {
@@ -324,34 +280,6 @@ mod tests {
         assert_eq!(idx.get(bid(0), bid(1)), 0.0);
         assert_eq!(idx.worst_failover(bid(0)), 0.0);
         assert_eq!(idx.peers(bid(0)).count(), 0, "spent entries must leave the matrix");
-    }
-
-    #[test]
-    fn deferred_mode_rebuilds_dirty_rows_once_at_end() {
-        let mut eager = index_with_bins(3, 5);
-        let mut deferred = index_with_bins(3, 5);
-        for idx in [&mut eager, &mut deferred] {
-            idx.add(bid(0), bid(1), 0.4);
-            idx.add(bid(0), bid(2), 0.3);
-            idx.add(bid(1), bid(3), 0.2);
-        }
-        deferred.begin_deferred();
-        deferred.sub(bid(0), bid(1), 0.4);
-        deferred.add(bid(0), bid(4), 0.35);
-        deferred.sub(bid(0), bid(2), 0.15);
-        deferred.end_deferred();
-        eager.sub(bid(0), bid(1), 0.4);
-        eager.add(bid(0), bid(4), 0.35);
-        eager.sub(bid(0), bid(2), 0.15);
-        for i in 0..5 {
-            assert!(
-                (eager.worst_failover(bid(i)) - deferred.worst_failover(bid(i))).abs() < 1e-12,
-                "bin {i}: deferred maintenance must converge to the eager state"
-            );
-        }
-        // end_deferred without begin_deferred is a no-op.
-        eager.end_deferred();
-        assert!((eager.worst_failover(bid(0)) - 0.5).abs() < 1e-12);
     }
 
     #[test]

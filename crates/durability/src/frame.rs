@@ -3,13 +3,16 @@
 //! Layout:
 //!
 //! ```text
-//! header:  magic "CUBEWAL2" (8) | version u32 LE (4) | gamma u32 LE (4)
+//! header:  magic "CUBEWAL3" (8) | version u32 LE (4) | gamma u32 LE (4)
+//!          | header_crc u32 LE (4)
 //! frame:   len u32 LE (4) | seq u64 LE (8) | head_crc u32 LE (4) | crc u32 LE (4)
 //!          | payload (len)
 //! ```
 //!
 //! `len` counts only the payload. All checksums are CRC-32 (IEEE 802.3 /
-//! zlib polynomial). `head_crc` covers the 12 bytes of `len` and `seq`, so
+//! zlib polynomial). `header_crc` covers the 16 bytes before it, so a
+//! damaged γ is refused even in a log that holds no frame to contradict
+//! it. `head_crc` covers the 12 bytes of `len` and `seq`, so
 //! a damaged length field is caught before the reader trusts it to find
 //! the payload. `crc` covers the little-endian `seq` bytes followed by the
 //! payload, so a frame whose body was written under a different sequence
@@ -27,11 +30,13 @@
 //!   byte offset.
 
 /// File magic opening every write-ahead log.
-pub const MAGIC: &[u8; 8] = b"CUBEWAL2";
+pub const MAGIC: &[u8; 8] = b"CUBEWAL3";
 /// Format version written into the header.
-pub const VERSION: u32 = 2;
+pub const VERSION: u32 = 3;
 /// Bytes of header before the first frame.
-pub const HEADER_LEN: usize = 16;
+pub const HEADER_LEN: usize = 20;
+/// Bytes of the file header covered by `header_crc` (magic, version, γ).
+const HEADER_BODY: usize = 16;
 /// Per-frame framing overhead (len + seq + head_crc + crc) in bytes: the
 /// payload starts this many bytes after its frame.
 pub const FRAME_OVERHEAD: usize = 20;
@@ -98,7 +103,7 @@ fn crc_update(mut crc: u32, bytes: &[u8]) -> u32 {
 }
 
 /// CRC-32 (IEEE) of `bytes`.
-fn crc32(bytes: &[u8]) -> u32 {
+pub(crate) fn crc32(bytes: &[u8]) -> u32 {
     !crc_update(0xFFFF_FFFF, bytes)
 }
 
@@ -116,7 +121,9 @@ pub fn encode_header(gamma: usize) -> [u8; HEADER_LEN] {
     let mut header = [0u8; HEADER_LEN];
     header[..8].copy_from_slice(MAGIC);
     header[8..12].copy_from_slice(&VERSION.to_le_bytes());
-    header[12..16].copy_from_slice(&(gamma as u32).to_le_bytes());
+    header[12..HEADER_BODY].copy_from_slice(&(gamma as u32).to_le_bytes());
+    let crc = crc32(&header[..HEADER_BODY]);
+    header[HEADER_BODY..].copy_from_slice(&crc.to_le_bytes());
     header
 }
 
@@ -125,7 +132,7 @@ pub fn encode_header(gamma: usize) -> [u8; HEADER_LEN] {
 /// # Errors
 ///
 /// Returns a description of what was wrong (truncated, bad magic,
-/// unknown version).
+/// unknown version, checksum mismatch).
 pub fn parse_header(bytes: &[u8]) -> Result<usize, String> {
     if bytes.len() < HEADER_LEN {
         return Err(format!("{} bytes is shorter than the {HEADER_LEN}-byte header", bytes.len()));
@@ -133,11 +140,18 @@ pub fn parse_header(bytes: &[u8]) -> Result<usize, String> {
     if &bytes[..8] != MAGIC {
         return Err("bad magic (not a CubeFit write-ahead log)".to_owned());
     }
-    let version = u32::from_le_bytes([bytes[8], bytes[9], bytes[10], bytes[11]]);
+    let le_u32 = |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().expect("4 bytes"));
+    let version = le_u32(8);
     if version != VERSION {
         return Err(format!("unsupported log version {version} (this build reads {VERSION})"));
     }
-    Ok(u32::from_le_bytes([bytes[12], bytes[13], bytes[14], bytes[15]]) as usize)
+    let (stored, computed) = (le_u32(HEADER_BODY), crc32(&bytes[..HEADER_BODY]));
+    if stored != computed {
+        return Err(format!(
+            "header crc mismatch (stored {stored:#010x}, computed {computed:#010x})"
+        ));
+    }
+    Ok(le_u32(12) as usize)
 }
 
 /// Encodes one frame.
@@ -266,6 +280,9 @@ mod tests {
         let mut bad_version = header;
         bad_version[8] = 99;
         assert!(parse_header(&bad_version).unwrap_err().contains("version"));
+        let mut bad_gamma = header;
+        bad_gamma[12] ^= 0x01;
+        assert!(parse_header(&bad_gamma).unwrap_err().contains("header crc mismatch"));
     }
 
     #[test]
@@ -307,7 +324,7 @@ mod tests {
         flipped[bit] ^= 0x01;
         assert!(matches!(
             next_frame(&flipped, HEADER_LEN),
-            FrameParse::Corrupt { offset: 16, ref detail } if detail.contains("crc mismatch")
+            FrameParse::Corrupt { offset: HEADER_LEN, ref detail } if detail.contains("crc mismatch")
         ));
     }
 

@@ -81,6 +81,11 @@ pub struct CheckpointInfo {
 /// number it covers. Frames with `seq ≤` this are skipped on replay, so
 /// a crash between writing the checkpoint and truncating the log recovers
 /// correctly in every interleaving.
+///
+/// The file holds the compact JSON, then a trailer line with the JSON's
+/// CRC-32 as eight lowercase hex digits ([`CheckpointFile::encode`]), so
+/// damage that still parses — a flipped digit in `seq` would skip live
+/// frames as already folded — is refused instead of trusted.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub(crate) struct CheckpointFile {
     /// Highest sequence number folded into the snapshot.
@@ -89,7 +94,39 @@ pub(crate) struct CheckpointFile {
     pub dump: PlacementDump,
 }
 
+/// Bytes of the checksum trailer: `\n`, eight hex digits, `\n`.
+const CHECKPOINT_TRAILER_LEN: usize = 10;
+
 impl CheckpointFile {
+    /// The on-disk bytes: [`Self::to_compact_json`] plus the CRC trailer.
+    pub(crate) fn encode(&self) -> String {
+        let mut out = self.to_compact_json();
+        let crc = frame::crc32(out.as_bytes());
+        out.push_str(&format!("\n{crc:08x}\n"));
+        out
+    }
+
+    /// Parses [`Self::encode`]'s output.
+    ///
+    /// # Errors
+    ///
+    /// Describes a missing or mismatched checksum trailer, or JSON that
+    /// does not deserialize.
+    pub(crate) fn decode(bytes: &[u8]) -> std::result::Result<Self, String> {
+        let (json, trailer) = bytes.split_at(bytes.len().saturating_sub(CHECKPOINT_TRAILER_LEN));
+        let computed = format!("\n{:08x}\n", frame::crc32(json));
+        if trailer != computed.as_bytes() {
+            let stored = std::str::from_utf8(trailer).map(str::trim).unwrap_or_default();
+            return Err(if stored.len() == 8 && stored.bytes().all(|b| b.is_ascii_hexdigit()) {
+                format!("checksum mismatch (stored {stored}, computed {})", computed.trim())
+            } else {
+                "missing checksum trailer".to_owned()
+            });
+        }
+        let json = std::str::from_utf8(json).map_err(|e| e.to_string())?;
+        serde_json::from_str(json).map_err(|e| e.to_string())
+    }
+
     /// The exact compact JSON [`serde_json::to_string`] produces
     /// (byte-for-byte; enforced by test). Checkpoints serialize the whole
     /// placement at every stride, so this skips the `Value` tree the
@@ -225,9 +262,8 @@ impl Journal {
         //    full writeback of the retiring log on every checkpoint.
         let file =
             CheckpointFile { seq: inner.seq, dump: PlacementDump::from_placement(placement) };
-        let json = file.to_compact_json();
         let checkpoint_path = dir.join(CHECKPOINT_FILE);
-        cubefit_core::write_atomic(&checkpoint_path, json)
+        cubefit_core::write_atomic(&checkpoint_path, file.encode())
             .map_err(|e| DurabilityError::io(&checkpoint_path, &e))?;
         // 2. A fresh header-only log, swapped in atomically. The old
         //    frames are all ≤ the checkpoint's seq, so losing them is the
@@ -446,8 +482,8 @@ mod tests {
         assert_eq!(info.seq, 1);
         assert_eq!(info.wal_bytes, before - HEADER_LEN as u64);
         assert_eq!(journal.wal_bytes(), HEADER_LEN as u64, "log truncated to a bare header");
-        let checkpoint = fs::read_to_string(dir.join(CHECKPOINT_FILE)).unwrap();
-        let parsed: CheckpointFile = serde_json::from_str(&checkpoint).unwrap();
+        let checkpoint = fs::read(dir.join(CHECKPOINT_FILE)).unwrap();
+        let parsed = CheckpointFile::decode(&checkpoint).unwrap();
         assert_eq!(parsed.seq, 1);
         assert_eq!(parsed.dump.tenants.len(), 1);
         // Appends continue with the global sequence, into the fresh log.
@@ -491,6 +527,22 @@ mod tests {
                 "checkpoint format drift"
             );
         }
+    }
+
+    #[test]
+    fn checkpoint_trailer_refuses_damage_that_still_parses() {
+        let file = CheckpointFile {
+            seq: 1000,
+            dump: PlacementDump { gamma: 2, servers: 0, tenants: vec![] },
+        };
+        let encoded = file.encode();
+        assert_eq!(CheckpointFile::decode(encoded.as_bytes()).unwrap(), file);
+        // "seq":1000 → "seq":3000 is one bit and still valid JSON.
+        let flipped = encoded.replacen("1000", "3000", 1);
+        let err = CheckpointFile::decode(flipped.as_bytes()).unwrap_err();
+        assert!(err.contains("checksum mismatch"), "{err}");
+        let err = CheckpointFile::decode(file.to_compact_json().as_bytes()).unwrap_err();
+        assert!(err.contains("missing checksum"), "{err}");
     }
 
     #[test]

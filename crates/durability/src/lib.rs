@@ -13,8 +13,8 @@
 //!   and the batch variants as single atomic frames) *after* it applied
 //!   and *before* the caller is acknowledged;
 //! * [`Journal::checkpoint`] — snapshots the placement as a
-//!   [`cubefit_core::PlacementDump`] (atomic temp-file + rename) and
-//!   truncates the log, bounding replay work;
+//!   CRC-checksummed [`cubefit_core::PlacementDump`] (atomic temp-file +
+//!   rename) and truncates the log, bounding replay work;
 //! * [`recover`] / [`recover_up_to`] — load the latest valid checkpoint
 //!   and replay the journal tail, tolerating a torn final frame (the
 //!   expected signature of a crash mid-append: truncated with a warning,

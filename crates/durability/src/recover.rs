@@ -70,7 +70,8 @@ pub fn recover_with(dir: impl AsRef<Path>, recorder: &Recorder) -> Result<Recove
 /// - [`DurabilityError::Io`] / [`DurabilityError::BadHeader`] when the
 ///   log is unreadable or not a journal;
 /// - [`DurabilityError::BadCheckpoint`] when the checkpoint file exists
-///   but cannot be parsed or rebuilt, or predates γ changes;
+///   but fails its CRC, cannot be parsed or rebuilt, or predates γ
+///   changes;
 /// - [`DurabilityError::CorruptFrame`] when a frame fails its header or
 ///   payload CRC or the sequence numbers skip — acknowledged state was
 ///   damaged (a torn final frame is NOT this: it is tolerated with a
@@ -197,8 +198,8 @@ fn load_checkpoint(dir: &Path, gamma: usize) -> Result<(Placement, u64)> {
         path: path.display().to_string(),
         detail,
     };
-    let json = fs::read_to_string(&path).map_err(|e| DurabilityError::io(&path, &e))?;
-    let file: CheckpointFile = serde_json::from_str(&json).map_err(|e| bad(e.to_string()))?;
+    let bytes = fs::read(&path).map_err(|e| DurabilityError::io(&path, &e))?;
+    let file = CheckpointFile::decode(&bytes).map_err(bad)?;
     if file.dump.gamma != gamma {
         return Err(bad(format!(
             "checkpoint γ = {} does not match the log header's γ = {gamma}",

@@ -45,12 +45,6 @@ impl JournaledConsolidator {
         &self.journal
     }
 
-    /// Unwraps back into the inner consolidator.
-    #[must_use]
-    pub fn into_inner(self) -> Box<dyn Consolidator> {
-        self.inner
-    }
-
     fn snapshot_fallback(&self, original: cubefit_core::Error) -> cubefit_core::Error {
         // A failed batch leaves its fail-fast prefix applied, but the
         // error path carries no per-op outcomes to journal. Embed a full

@@ -1,4 +1,4 @@
-//! Exhaustive damage sweep over a small write-ahead log.
+//! Exhaustive damage sweep over a small journal.
 //!
 //! A short journaled stream writes every frame kind a run without errors
 //! produces — single places, a batch, a load update, a removal, a failure
@@ -11,11 +11,18 @@
 //!   exactly the frames wholly inside the prefix — the live state after
 //!   that many acknowledged mutations — warning only when the cut fell
 //!   inside a frame.
+//!
+//! Two more sweeps cover the bytes no frame checksum protects: every bit
+//! of a `checkpoint.json` that tail frames follow (a flipped `seq` digit
+//! would skip live frames as already folded), and every bit of a
+//! frame-less `wal.log` (a flipped γ has no frame to contradict it). Each
+//! flip must be refused as a bad checkpoint or a bad header.
 
 use cubefit_core::{BinId, Consolidator, CubeFit, CubeFitConfig, Load, PlacementDump, Tenant};
 use cubefit_durability::frame::{self, FrameParse, HEADER_LEN};
 use cubefit_durability::{
-    recover, DurabilityError, FsyncPolicy, Journal, JournaledConsolidator, WAL_FILE,
+    recover, DurabilityError, FsyncPolicy, Journal, JournaledConsolidator, CHECKPOINT_FILE,
+    WAL_FILE,
 };
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -80,26 +87,69 @@ fn frame_ends(bytes: &[u8]) -> Vec<usize> {
     ends
 }
 
-#[test]
-fn every_bit_flip_is_refused_with_a_typed_error() {
-    let dir = scratch("flip");
-    let (pristine, _) = journaled_stream(&dir);
-    let wal = dir.join(WAL_FILE);
-    let mut silent = Vec::new();
+/// Flips every bit of `dir/file` in turn and recovers `dir` after each
+/// flip, returning a line for every flip `refused` does not accept.
+fn flip_sweep(dir: &Path, file: &str, refused: impl Fn(&DurabilityError) -> bool) -> Vec<String> {
+    let path = dir.join(file);
+    let pristine = fs::read(&path).unwrap();
+    let mut misses = Vec::new();
     for byte in 0..pristine.len() {
         for bit in 0..8 {
             let mut damaged = pristine.clone();
             damaged[byte] ^= 1 << bit;
-            fs::write(&wal, &damaged).unwrap();
-            if let Ok(state) = recover(&dir) {
-                silent.push(format!(
+            fs::write(&path, &damaged).unwrap();
+            match recover(dir) {
+                Ok(state) => misses.push(format!(
                     "byte {byte} bit {bit}: recovered {} frames (torn tail: {})",
                     state.last_seq, state.torn_tail
-                ));
+                )),
+                Err(e) if !refused(&e) => misses.push(format!("byte {byte} bit {bit}: {e}")),
+                Err(_) => {}
             }
         }
     }
+    fs::write(&path, &pristine).unwrap();
+    misses
+}
+
+#[test]
+fn every_bit_flip_is_refused_with_a_typed_error() {
+    let dir = scratch("flip");
+    journaled_stream(&dir);
+    let silent = flip_sweep(&dir, WAL_FILE, |_| true);
     assert!(silent.is_empty(), "flips that recovered without an error:\n{}", silent.join("\n"));
+}
+
+#[test]
+fn every_checkpoint_bit_flip_is_refused() {
+    let dir = scratch("checkpoint-flip");
+    let journal = Journal::create(&dir, 2, FsyncPolicy::Never).unwrap();
+    let config = CubeFitConfig::builder().replication(2).classes(5).build().unwrap();
+    let mut live = JournaledConsolidator::new(Box::new(CubeFit::new(config)), journal.clone());
+    let tenant = |load: f64| Tenant::with_load(Load::new(load).unwrap());
+    let placed = live.place_batch(vec![tenant(0.6), tenant(0.3), tenant(0.12)]).unwrap();
+    journal.checkpoint(live.placement()).unwrap();
+    live.update_load(placed[0].tenant, 0.5).unwrap();
+    live.remove(placed[1].tenant).unwrap();
+    live.place(tenant(0.4)).unwrap();
+    journal.seal().unwrap();
+    let expected = dump_json(&live);
+    let state = recover(&dir).unwrap();
+    assert_eq!((state.checkpoint_seq, state.frames_replayed), (1, 3));
+    assert_eq!(serde_json::to_string(&state.dump()).unwrap(), expected);
+    let misses =
+        flip_sweep(&dir, CHECKPOINT_FILE, |e| matches!(e, DurabilityError::BadCheckpoint { .. }));
+    assert!(misses.is_empty(), "checkpoint flips not refused:\n{}", misses.join("\n"));
+}
+
+#[test]
+fn every_header_bit_flip_of_a_frameless_log_is_refused() {
+    let dir = scratch("header-flip");
+    drop(Journal::create(&dir, 2, FsyncPolicy::Never).unwrap());
+    assert_eq!(fs::read(dir.join(WAL_FILE)).unwrap().len(), HEADER_LEN);
+    assert_eq!(recover(&dir).unwrap().gamma, 2);
+    let misses = flip_sweep(&dir, WAL_FILE, |e| matches!(e, DurabilityError::BadHeader { .. }));
+    assert!(misses.is_empty(), "header flips not refused:\n{}", misses.join("\n"));
 }
 
 #[test]

@@ -3,7 +3,7 @@
 
 use cubefit::cluster::{sim::assignments_from_placement, ClusterSim, QueryMix, SimConfig};
 use cubefit::core::validity::{self, FailoverSemantics};
-use cubefit::core::{Consolidator, TenantId};
+use cubefit::core::TenantId;
 use cubefit::sim::experiment::sequence_for;
 use cubefit::sim::runner::run_sequence;
 use cubefit::sim::{
