@@ -1,13 +1,15 @@
 //! Recovery differential suite: crash-safe durability against the oracle.
 //!
 //! Every algorithm runs a seeded *mixed* mutation stream (arrivals,
-//! departures, load updates, migrations, failure/recovery events) behind a
-//! [`JournaledConsolidator`], snapshotting the live [`PlacementDump`]
-//! after every acknowledged mutation. The suite then treats **every**
-//! journal sequence number as a crash point: `recover_up_to(dir, seq)`
-//! must reconstruct the snapshot byte-for-byte (serialized JSON equality)
-//! and pass the from-scratch oracle. A checkpointed variant proves the
-//! same through a checkpoint + tail replay.
+//! departures, load updates — each also as batches, some failing mid-batch
+//! on an unknown tenant — plus migrations and failure/recovery events)
+//! behind a [`JournaledConsolidator`], snapshotting the live
+//! [`PlacementDump`] after every acknowledged mutation. The suite then
+//! treats **every** journal sequence number as a crash point:
+//! `recover_up_to(dir, seq)` must reconstruct the snapshot byte-for-byte
+//! (serialized JSON equality) and pass the from-scratch oracle. A
+//! checkpointed variant proves the same through a checkpoint + tail
+//! replay.
 //!
 //! Two pinned regression fixtures cover the byte-level failure modes: a
 //! torn final frame (tolerated, rewound to the last durable frame) and a
@@ -59,8 +61,11 @@ fn dump_json(algo: &dyn Consolidator) -> String {
 /// Drives `ops` seeded mixed mutations through `algo` (already wrapped in
 /// a [`JournaledConsolidator`]), returning `(seq, dump)` snapshots taken
 /// after every acknowledged mutation. Op mix: ~10% failure/recovery
-/// events, ~10% migrations, ~15% load updates, ~20% departures, the rest
-/// arrivals.
+/// events, ~10% migrations, ~10% load updates and ~5% load-update
+/// batches, ~15% departures and ~5% departure batches, ~35% arrivals and
+/// ~10% arrival batches. One update or departure batch in three puts a
+/// never-placed tenant second, so it fails after its first op and its
+/// frame holds that prefix.
 fn journaled_stream(
     algo: &mut JournaledConsolidator,
     journal: &Journal,
@@ -69,6 +74,7 @@ fn journaled_stream(
     base_id: u64,
 ) -> Vec<(u64, String)> {
     let mut rng = OpRng(seed | 1);
+    let unknown = TenantId::new(u64::MAX);
     let mut alive: Vec<TenantId> = Vec::new();
     let mut next_id = base_id;
     let gamma = algo.gamma();
@@ -101,20 +107,51 @@ fn journaled_stream(
             if algo.migrate(tenant, from, to).is_err() {
                 continue; // a refused move is not journaled; nothing to snapshot
             }
-        } else if roll < 35 && !alive.is_empty() {
+        } else if roll < 30 && !alive.is_empty() {
             let tenant = alive[rng.below(alive.len())];
             let load = (rng.unit() * 0.9).max(1e-4);
             algo.update_load(tenant, load).expect("live tenants must update");
-        } else if roll < 55 && !alive.is_empty() {
+        } else if roll < 35 && !alive.is_empty() {
+            let mut updates: Vec<(TenantId, f64)> = (0..1 + rng.below(3))
+                .map(|_| (alive[rng.below(alive.len())], (rng.unit() * 0.9).max(1e-4)))
+                .collect();
+            if rng.below(3) == 0 {
+                updates.insert(1, (unknown, 0.5));
+                algo.update_load_batch(&updates).expect_err("the unknown tenant fails");
+            } else {
+                algo.update_load_batch(&updates).expect("live tenants must update");
+            }
+        } else if roll < 50 && !alive.is_empty() {
             let idx = rng.below(alive.len());
             let tenant = alive.swap_remove(idx);
             algo.remove(tenant).expect("alive tenants must be removable");
-        } else {
+        } else if roll < 55 && !alive.is_empty() {
+            let count = 1 + rng.below(alive.len().min(3));
+            let mut departing: Vec<TenantId> =
+                (0..count).map(|_| alive.swap_remove(rng.below(alive.len()))).collect();
+            if rng.below(3) == 0 {
+                departing.insert(1, unknown);
+                algo.remove_batch(&departing).expect_err("the unknown tenant fails");
+                alive.extend_from_slice(&departing[2..]); // not reached: still placed
+            } else {
+                algo.remove_batch(&departing).expect("alive tenants must be removable");
+            }
+        } else if roll < 90 {
             let load = (rng.unit() * 0.6).max(1e-4);
             let tenant = Tenant::new(TenantId::new(next_id), Load::new(load).unwrap());
             next_id += 1;
             algo.place(tenant).expect("arrivals must place");
             alive.push(tenant.id());
+        } else {
+            let arrivals: Vec<Tenant> = (next_id..next_id + 2 + rng.below(3) as u64)
+                .map(|id| {
+                    let load = (rng.unit() * 0.6).max(1e-4);
+                    Tenant::new(TenantId::new(id), Load::new(load).unwrap())
+                })
+                .collect();
+            next_id += arrivals.len() as u64;
+            alive.extend(arrivals.iter().map(Tenant::id));
+            algo.place_batch(arrivals).expect("arrivals must place");
         }
         snapshots.push((journal.last_seq(), dump_json(algo)));
     }

@@ -152,8 +152,9 @@ pub trait Consolidator {
     /// sequential holds by construction. (CubeFit, RFI and the greedy
     /// packers override this method only to pre-size the tenant table
     /// before the same loop.) Layers override the batch methods to treat a
-    /// batch as one unit — the journal writes it as one WAL frame — while
-    /// still running the inner algorithm's batch method.
+    /// batch as one unit — the journal runs the inner algorithm's per-op
+    /// methods in the same fail-fast loop and writes the ops that applied
+    /// as one WAL frame.
     ///
     /// # Errors
     ///
@@ -395,7 +396,7 @@ mod tests {
         let b = Tenant::with_load(Load::new(0.2).unwrap());
         // Re-placing `a` mid-batch errors, but `a` and `b` placed before the
         // duplicate stay placed.
-        let result = boxed.place_batch(vec![a.clone(), b, a]);
+        let result = boxed.place_batch(vec![a, b, a]);
         assert!(matches!(result, Err(crate::error::Error::DuplicateTenant { .. })));
         assert_eq!(boxed.placement().tenant_count(), 2);
         assert!(matches!(

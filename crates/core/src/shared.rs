@@ -330,8 +330,8 @@ mod tests {
                     truth[b][a] = truth[a][b];
                 }
             }
-            for i in 0..bins {
-                let mut row: Vec<f64> = truth[i].clone();
+            for (i, truth_row) in truth.iter().enumerate() {
+                let mut row: Vec<f64> = truth_row.clone();
                 row.sort_by(|x, y| y.total_cmp(x));
                 let expected: f64 = row.iter().take(k).sum();
                 assert!(
@@ -364,8 +364,8 @@ mod tests {
             truth[a][b] += d;
             truth[b][a] += d;
         }
-        for i in 0..8 {
-            let mut row: Vec<f64> = truth[i].clone();
+        for (i, truth_row) in truth.iter().enumerate() {
+            let mut row: Vec<f64> = truth_row.clone();
             row.sort_by(|x, y| y.total_cmp(x));
             let expected: f64 = row.iter().take(2).sum();
             assert!(
@@ -399,8 +399,8 @@ mod tests {
             truth[a][b] += d;
             truth[b][a] += d;
         }
-        for i in 0..BINS {
-            let mut row: Vec<f64> = truth[i].clone();
+        for (i, truth_row) in truth.iter().enumerate() {
+            let mut row: Vec<f64> = truth_row.clone();
             row.sort_by(|x, y| y.total_cmp(x));
             let expected: f64 = row.iter().take(13).sum();
             assert!(

@@ -3,7 +3,7 @@
 //! Layout:
 //!
 //! ```text
-//! header:  magic "CUBEWAL3" (8) | version u32 LE (4) | gamma u32 LE (4)
+//! header:  magic "CUBEWAL4" (8) | version u32 LE (4) | gamma u32 LE (4)
 //!          | header_crc u32 LE (4)
 //! frame:   len u32 LE (4) | seq u64 LE (8) | head_crc u32 LE (4) | crc u32 LE (4)
 //!          | payload (len)
@@ -30,9 +30,9 @@
 //!   byte offset.
 
 /// File magic opening every write-ahead log.
-pub const MAGIC: &[u8; 8] = b"CUBEWAL3";
+pub const MAGIC: &[u8; 8] = b"CUBEWAL4";
 /// Format version written into the header.
-pub const VERSION: u32 = 3;
+pub const VERSION: u32 = 4;
 /// Bytes of header before the first frame.
 pub const HEADER_LEN: usize = 20;
 /// Bytes of the file header covered by `header_crc` (magic, version, γ).

@@ -250,9 +250,15 @@ impl Journal {
     ///
     /// # Errors
     ///
-    /// I/O failures; the previous checkpoint/log stay recoverable.
+    /// [`DurabilityError::Sealed`] after [`Journal::seal`]: the fresh log
+    /// would drop the seal frame, and recovery would read the orderly
+    /// shutdown as a crash. I/O failures; the previous checkpoint/log stay
+    /// recoverable.
     pub fn checkpoint(&self, placement: &Placement) -> Result<CheckpointInfo> {
         let mut inner = self.lock();
+        if inner.sealed {
+            return Err(DurabilityError::Sealed);
+        }
         let dir = inner.dir.clone();
         let wal_path = dir.join(WAL_FILE);
         // 1. The snapshot, atomically. The WAL itself is *not* synced
@@ -543,6 +549,25 @@ mod tests {
         assert!(err.contains("checksum mismatch"), "{err}");
         let err = CheckpointFile::decode(file.to_compact_json().as_bytes()).unwrap_err();
         assert!(err.contains("missing checksum"), "{err}");
+    }
+
+    #[test]
+    fn checkpoint_after_seal_is_refused_and_keeps_the_seal() {
+        let dir = tmp_dir("sealed-checkpoint");
+        let journal = Journal::create(&dir, 2, FsyncPolicy::Never).unwrap();
+        journal
+            .append(&JournalRecord::Place {
+                tenant: 1,
+                load: 0.25,
+                servers: vec![0, 1],
+                servers_after: 2,
+            })
+            .unwrap();
+        journal.seal().unwrap();
+        assert_eq!(journal.checkpoint(&Placement::new(2)).unwrap_err(), DurabilityError::Sealed);
+        let state = crate::recover::recover(&dir).unwrap();
+        assert!(state.sealed, "an orderly shutdown must not read as a crash");
+        assert_eq!(state.last_seq, 2);
     }
 
     #[test]

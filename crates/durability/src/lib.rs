@@ -9,9 +9,10 @@
 //!   length-prefixed, CRC-checksummed frames, with a tunable
 //!   [`FsyncPolicy`] and a clean-shutdown seal;
 //! * [`JournaledConsolidator`] — a transparent wrapper that journals
-//!   every successful mutation (place/remove/update-load/migrate/recover,
-//!   and the batch variants as single atomic frames) *after* it applied
-//!   and *before* the caller is acknowledged;
+//!   every successful mutation (place/remove/update-load/migrate/recover)
+//!   *after* it applied and *before* the caller is acknowledged; a batch
+//!   call becomes one atomic frame holding the ordinary records of the ops
+//!   that applied, so a batch that fails partway journals its prefix;
 //! * [`Journal::checkpoint`] — snapshots the placement as a
 //!   CRC-checksummed [`cubefit_core::PlacementDump`] (atomic temp-file +
 //!   rename) and truncates the log, bounding replay work;
@@ -71,6 +72,6 @@ pub mod wrapper;
 
 pub use error::{DurabilityError, Result};
 pub use journal::{CheckpointInfo, FsyncPolicy, Journal, CHECKPOINT_FILE, WAL_FILE};
-pub use record::{BatchOp, JournalRecord, RecoveryMove};
-pub use recover::{recover, recover_up_to, recover_with, RecoveredState};
+pub use record::{JournalRecord, RecoveryMove};
+pub use recover::{recover, recover_up_to, RecoveredState};
 pub use wrapper::JournaledConsolidator;

@@ -14,10 +14,10 @@
 //! mutation finished, so replay opens the same bins before applying.
 
 use crate::error::{DurabilityError, Result};
-use cubefit_core::{BinId, Load, Placement, PlacementDump, Tenant, TenantId};
+use cubefit_core::{BinId, Load, Placement, Tenant, TenantId};
 
 /// One replica move performed by a failure recovery.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RecoveryMove {
     /// The tenant whose replica moved.
     pub tenant: u64,
@@ -27,36 +27,8 @@ pub struct RecoveryMove {
     pub to: usize,
 }
 
-/// One mutation inside an atomic [`JournalRecord::Batch`]. A separate
-/// type (rather than nesting [`JournalRecord`]) keeps the format flat:
-/// batches never nest, and only the three batched primitives appear.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
-pub enum BatchOp {
-    /// A placement inside the batch.
-    Place {
-        /// Tenant id.
-        tenant: u64,
-        /// Full tenant load in `(0, 1]`.
-        load: f64,
-        /// The γ servers chosen for its replicas.
-        servers: Vec<usize>,
-    },
-    /// A removal inside the batch.
-    Remove {
-        /// Tenant id.
-        tenant: u64,
-    },
-    /// A load re-estimate inside the batch.
-    UpdateLoad {
-        /// Tenant id.
-        tenant: u64,
-        /// The re-estimated full load.
-        load: f64,
-    },
-}
-
 /// One durable frame's payload: a mutation the consolidator applied.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum JournalRecord {
     /// A tenant was placed on `servers`.
     Place {
@@ -99,22 +71,13 @@ pub enum JournalRecord {
         /// Servers ever created once recovery finished.
         servers_after: usize,
     },
-    /// An atomic batch of mutations (the PR 7 batch API). The whole batch
-    /// is one frame: replay applies all of it or — if the frame is torn —
-    /// none of it.
+    /// The mutations one batch call applied, as one frame: replay applies
+    /// all of them or — if the frame is torn — none. After a fail-fast
+    /// error it holds the prefix that applied before the failing op.
     Batch {
-        /// The mutations, in execution order.
-        ops: Vec<BatchOp>,
-        /// Servers ever created once the batch finished.
-        servers_after: usize,
-    },
-    /// A full state snapshot embedded in the log. Written when a batch
-    /// fails partway (fail-fast leaves a prefix applied whose per-op
-    /// outcomes the error path cannot report), so the journal stays
-    /// truthful without replaying the failure.
-    Snapshot {
-        /// The complete placement state.
-        dump: PlacementDump,
+        /// `Place`, `Remove` and `UpdateLoad` records in execution order;
+        /// the decoder refuses any other kind here.
+        ops: Vec<JournalRecord>,
     },
     /// Clean-shutdown marker: everything before this frame is complete
     /// and the process exited on purpose.
@@ -151,11 +114,10 @@ pub(crate) fn push_usize_array(out: &mut String, items: &[usize]) {
 // bytes — fewer to format, fewer to checksum, fewer to hand to
 // `write(2)`, and fewer dirty pages for the kernel to write back. A
 // binary `Place` is ~17 bytes where its JSON form was ~85. Integers are
-// LEB128 varints, floats are IEEE-754 bits little-endian, and the rare
-// [`JournalRecord::Snapshot`] embeds the checkpoint's JSON dump
-// verbatim (it already has a pinned serde format and never rides the
-// hot path). Integrity is the frame CRC's job; decode errors past a
-// valid checksum mean version skew or a writer bug, not disk damage.
+// LEB128 varints and floats are IEEE-754 bits little-endian. A batch is
+// its tag, the op count, then each op's ordinary record encoding.
+// Integrity is the frame CRC's job; decode errors past a valid checksum
+// mean version skew or a writer bug, not disk damage.
 
 const TAG_PLACE: u8 = 1;
 const TAG_REMOVE: u8 = 2;
@@ -163,7 +125,6 @@ const TAG_UPDATE_LOAD: u8 = 3;
 const TAG_MIGRATE: u8 = 4;
 const TAG_RECOVER: u8 = 5;
 const TAG_BATCH: u8 = 6;
-const TAG_SNAPSHOT: u8 = 7;
 const TAG_SEAL: u8 = 8;
 
 fn put_uv(out: &mut Vec<u8>, mut v: u64) {
@@ -250,35 +211,11 @@ impl<'a> Cursor<'a> {
         Ok(f64::from_bits(u64::from_le_bytes(bytes.try_into().expect("8 bytes"))))
     }
 
-    fn rest(self) -> &'a [u8] {
-        &self.buf[self.pos..]
-    }
-
     fn finish(self) -> std::result::Result<(), String> {
         if self.pos == self.buf.len() {
             Ok(())
         } else {
             Err(format!("{} trailing bytes after the record", self.buf.len() - self.pos))
-        }
-    }
-}
-
-fn batch_op_encode(out: &mut Vec<u8>, op: &BatchOp) {
-    match op {
-        BatchOp::Place { tenant, load, servers } => {
-            out.push(TAG_PLACE);
-            put_uv(out, *tenant);
-            put_bits(out, *load);
-            put_us_slice(out, servers);
-        }
-        BatchOp::Remove { tenant } => {
-            out.push(TAG_REMOVE);
-            put_uv(out, *tenant);
-        }
-        BatchOp::UpdateLoad { tenant, load } => {
-            out.push(TAG_UPDATE_LOAD);
-            put_uv(out, *tenant);
-            put_bits(out, *load);
         }
     }
 }
@@ -290,22 +227,6 @@ fn decode_us_vec(c: &mut Cursor<'_>, what: &str) -> std::result::Result<Vec<usiz
         items.push(c.us(what)?);
     }
     Ok(items)
-}
-
-fn batch_op_decode(c: &mut Cursor<'_>) -> std::result::Result<BatchOp, String> {
-    match c.byte("batch op tag")? {
-        TAG_PLACE => Ok(BatchOp::Place {
-            tenant: c.uv("batch place tenant")?,
-            load: c.bits("batch place load")?,
-            servers: decode_us_vec(c, "batch place servers")?,
-        }),
-        TAG_REMOVE => Ok(BatchOp::Remove { tenant: c.uv("batch remove tenant")? }),
-        TAG_UPDATE_LOAD => Ok(BatchOp::UpdateLoad {
-            tenant: c.uv("batch update tenant")?,
-            load: c.bits("batch update load")?,
-        }),
-        other => Err(format!("unknown batch op tag {other}")),
-    }
 }
 
 impl JournalRecord {
@@ -345,19 +266,12 @@ impl JournalRecord {
                 }
                 put_us(out, *servers_after);
             }
-            JournalRecord::Batch { ops, servers_after } => {
+            JournalRecord::Batch { ops } => {
                 out.push(TAG_BATCH);
                 put_us(out, ops.len());
                 for op in ops {
-                    batch_op_encode(out, op);
+                    op.encode(out);
                 }
-                put_us(out, *servers_after);
-            }
-            JournalRecord::Snapshot { dump } => {
-                out.push(TAG_SNAPSHOT);
-                out.extend_from_slice(
-                    serde_json::to_string(dump).expect("dumps always serialize").as_bytes(),
-                );
             }
             JournalRecord::Seal => out.push(TAG_SEAL),
         }
@@ -373,11 +287,19 @@ impl JournalRecord {
     /// already vouched for the bytes.
     pub(crate) fn decode(payload: &[u8]) -> std::result::Result<JournalRecord, String> {
         let mut c = Cursor::new(payload);
-        let record = match c.byte("record tag")? {
+        let tag = c.byte("record tag")?;
+        let record = Self::decode_body(&mut c, tag)?;
+        c.finish()?;
+        Ok(record)
+    }
+
+    /// Decodes the fields that follow `tag`.
+    fn decode_body(c: &mut Cursor<'_>, tag: u8) -> std::result::Result<JournalRecord, String> {
+        Ok(match tag {
             TAG_PLACE => JournalRecord::Place {
                 tenant: c.uv("place tenant")?,
                 load: c.bits("place load")?,
-                servers: decode_us_vec(&mut c, "place servers")?,
+                servers: decode_us_vec(c, "place servers")?,
                 servers_after: c.us("place servers_after")?,
             },
             TAG_REMOVE => JournalRecord::Remove { tenant: c.uv("remove tenant")? },
@@ -391,7 +313,7 @@ impl JournalRecord {
                 to: c.us("migrate to")?,
             },
             TAG_RECOVER => {
-                let failed = decode_us_vec(&mut c, "recover failed")?;
+                let failed = decode_us_vec(c, "recover failed")?;
                 let n = c.len("recover moves")?;
                 let mut moves = Vec::with_capacity(n);
                 for _ in 0..n {
@@ -411,22 +333,17 @@ impl JournalRecord {
                 let n = c.len("batch ops")?;
                 let mut ops = Vec::with_capacity(n);
                 for _ in 0..n {
-                    ops.push(batch_op_decode(&mut c)?);
+                    let tag = c.byte("batch op tag")?;
+                    if !matches!(tag, TAG_PLACE | TAG_REMOVE | TAG_UPDATE_LOAD) {
+                        return Err(format!("record tag {tag} inside a batch"));
+                    }
+                    ops.push(Self::decode_body(c, tag)?);
                 }
-                JournalRecord::Batch { ops, servers_after: c.us("batch servers_after")? }
-            }
-            TAG_SNAPSHOT => {
-                let text = std::str::from_utf8(c.rest())
-                    .map_err(|e| format!("snapshot dump is not UTF-8: {e}"))?;
-                let dump = serde_json::from_str(text)
-                    .map_err(|e| format!("snapshot dump does not parse: {e}"))?;
-                return Ok(JournalRecord::Snapshot { dump });
+                JournalRecord::Batch { ops }
             }
             TAG_SEAL => JournalRecord::Seal,
             other => return Err(format!("unknown record tag {other}")),
-        };
-        c.finish()?;
-        Ok(record)
+        })
     }
 }
 
@@ -442,20 +359,6 @@ fn bad(seq: u64, detail: impl std::fmt::Display) -> DurabilityError {
     DurabilityError::BadRecord { seq, detail: detail.to_string() }
 }
 
-fn apply_place(
-    placement: &mut Placement,
-    seq: u64,
-    tenant: u64,
-    load: f64,
-    servers: &[usize],
-) -> Result<()> {
-    let load = Load::new(load).map_err(|e| bad(seq, e))?;
-    let bins: Vec<BinId> = servers.iter().map(|&s| BinId::new(s)).collect();
-    placement
-        .place_tenant(&Tenant::new(TenantId::new(tenant), load), &bins)
-        .map_err(|e| bad(seq, e))
-}
-
 impl JournalRecord {
     /// Replays this record onto `placement`.
     ///
@@ -469,7 +372,11 @@ impl JournalRecord {
         match self {
             JournalRecord::Place { tenant, load, servers, servers_after } => {
                 raise_servers(placement, *servers_after);
-                apply_place(placement, seq, *tenant, *load, servers)
+                let load = Load::new(*load).map_err(|e| bad(seq, e))?;
+                let bins: Vec<BinId> = servers.iter().map(|&s| BinId::new(s)).collect();
+                placement
+                    .place_tenant(&Tenant::new(TenantId::new(*tenant), load), &bins)
+                    .map_err(|e| bad(seq, e))
             }
             JournalRecord::Remove { tenant } => {
                 placement.remove_tenant(TenantId::new(*tenant)).map_err(|e| bad(seq, e))?;
@@ -491,31 +398,7 @@ impl JournalRecord {
                 }
                 Ok(())
             }
-            JournalRecord::Batch { ops, servers_after } => {
-                raise_servers(placement, *servers_after);
-                for op in ops {
-                    match op {
-                        BatchOp::Place { tenant, load, servers } => {
-                            apply_place(placement, seq, *tenant, *load, servers)?;
-                        }
-                        BatchOp::Remove { tenant } => {
-                            placement
-                                .remove_tenant(TenantId::new(*tenant))
-                                .map_err(|e| bad(seq, e))?;
-                        }
-                        BatchOp::UpdateLoad { tenant, load } => {
-                            placement
-                                .update_load(TenantId::new(*tenant), *load)
-                                .map_err(|e| bad(seq, e))?;
-                        }
-                    }
-                }
-                Ok(())
-            }
-            JournalRecord::Snapshot { dump } => {
-                *placement = dump.to_placement().map_err(|e| bad(seq, e))?;
-                Ok(())
-            }
+            JournalRecord::Batch { ops } => ops.iter().try_for_each(|op| op.apply(placement, seq)),
             JournalRecord::Seal => Ok(()),
         }
     }
@@ -524,41 +407,10 @@ impl JournalRecord {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cubefit_core::PlacementDump;
 
     fn dump_json(placement: &Placement) -> String {
         serde_json::to_string(&PlacementDump::from_placement(placement)).unwrap()
-    }
-
-    #[test]
-    fn records_round_trip_through_json() {
-        let records = vec![
-            JournalRecord::Place { tenant: 7, load: 0.25, servers: vec![0, 1], servers_after: 2 },
-            JournalRecord::Remove { tenant: 7 },
-            JournalRecord::UpdateLoad { tenant: 8, load: 0.5 },
-            JournalRecord::Migrate { tenant: 8, from: 0, to: 3 },
-            JournalRecord::Recover {
-                failed: vec![2],
-                moves: vec![RecoveryMove { tenant: 9, from: 2, to: 4 }],
-                servers_after: 5,
-            },
-            JournalRecord::Batch {
-                ops: vec![
-                    BatchOp::Place { tenant: 10, load: 0.125, servers: vec![0, 1] },
-                    BatchOp::Remove { tenant: 10 },
-                    BatchOp::UpdateLoad { tenant: 8, load: 0.75 },
-                ],
-                servers_after: 5,
-            },
-            JournalRecord::Snapshot {
-                dump: PlacementDump { gamma: 2, servers: 0, tenants: vec![] },
-            },
-            JournalRecord::Seal,
-        ];
-        for record in records {
-            let json = serde_json::to_string(&record).unwrap();
-            let back: JournalRecord = serde_json::from_str(&json).unwrap();
-            assert_eq!(back, record, "round trip failed for {json}");
-        }
     }
 
     /// Every variant survives the wire: encode then decode is identity,
@@ -586,17 +438,18 @@ mod tests {
                 ],
                 servers_after: 8,
             },
-            JournalRecord::Batch { ops: vec![], servers_after: 1 },
+            JournalRecord::Batch { ops: vec![] },
             JournalRecord::Batch {
                 ops: vec![
-                    BatchOp::Place { tenant: 10, load: 0.125, servers: vec![0, 1] },
-                    BatchOp::Remove { tenant: 10 },
-                    BatchOp::UpdateLoad { tenant: 8, load: 0.75 },
+                    JournalRecord::Place {
+                        tenant: 10,
+                        load: 0.125,
+                        servers: vec![0, 1],
+                        servers_after: 5,
+                    },
+                    JournalRecord::Remove { tenant: 10 },
+                    JournalRecord::UpdateLoad { tenant: 8, load: 0.75 },
                 ],
-                servers_after: 5,
-            },
-            JournalRecord::Snapshot {
-                dump: PlacementDump { gamma: 2, servers: 0, tenants: vec![] },
             },
             JournalRecord::Seal,
         ];
@@ -628,6 +481,21 @@ mod tests {
         assert_eq!(bytes, [8]);
     }
 
+    /// A batch payload is its tag and op count, then each op's ordinary
+    /// record bytes.
+    #[test]
+    fn batch_payload_is_its_records_encodings() {
+        let place =
+            JournalRecord::Place { tenant: 7, load: 0.25, servers: vec![0, 1], servers_after: 2 };
+        let remove = JournalRecord::Remove { tenant: 300 };
+        let mut bytes = Vec::new();
+        JournalRecord::Batch { ops: vec![place.clone(), remove.clone()] }.encode(&mut bytes);
+        let mut expected = vec![6, 2];
+        place.encode(&mut expected);
+        remove.encode(&mut expected);
+        assert_eq!(bytes, expected);
+    }
+
     #[test]
     fn decoder_rejects_damage_with_named_fields() {
         let mut bytes = Vec::new();
@@ -651,6 +519,12 @@ mod tests {
         // drive a pre-allocation.
         let err = JournalRecord::decode(&[2 + 3, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F]).unwrap_err();
         assert!(err.contains("elements"), "{err}");
+
+        // Only places, removals and load updates ride inside a batch.
+        let err = JournalRecord::decode(&[6, 1, 8]).unwrap_err();
+        assert!(err.contains("record tag 8 inside a batch"), "{err}");
+        let err = JournalRecord::decode(&[6, 1, 6, 0]).unwrap_err();
+        assert!(err.contains("record tag 6 inside a batch"), "{err}");
     }
 
     #[test]
@@ -684,36 +558,41 @@ mod tests {
     }
 
     #[test]
-    fn batch_and_snapshot_replay() {
-        let mut placement = Placement::new(2);
+    fn batch_replay_applies_its_records_in_order() {
+        let mut live = Placement::new(2);
+        let a = live.open_bin(None);
+        let b = live.open_bin(None);
+        live.place_tenant(&Tenant::new(TenantId::new(1), Load::new(0.4).unwrap()), &[a, b])
+            .unwrap();
+        let c = live.open_bin(None);
+        live.place_tenant(&Tenant::new(TenantId::new(2), Load::new(0.2).unwrap()), &[a, c])
+            .unwrap();
+        live.update_load(TenantId::new(1), 0.5).unwrap();
+        live.remove_tenant(TenantId::new(2)).unwrap();
+
+        // Each place opens the servers its own `servers_after` names.
+        let mut replayed = Placement::new(2);
         JournalRecord::Batch {
             ops: vec![
-                BatchOp::Place { tenant: 1, load: 0.4, servers: vec![0, 1] },
-                BatchOp::Place { tenant: 2, load: 0.2, servers: vec![0, 1] },
-                BatchOp::UpdateLoad { tenant: 1, load: 0.5 },
-                BatchOp::Remove { tenant: 2 },
+                JournalRecord::Place {
+                    tenant: 1,
+                    load: 0.4,
+                    servers: vec![0, 1],
+                    servers_after: 2,
+                },
+                JournalRecord::Place {
+                    tenant: 2,
+                    load: 0.2,
+                    servers: vec![0, 2],
+                    servers_after: 3,
+                },
+                JournalRecord::UpdateLoad { tenant: 1, load: 0.5 },
+                JournalRecord::Remove { tenant: 2 },
             ],
-            servers_after: 2,
         }
-        .apply(&mut placement, 1)
+        .apply(&mut replayed, 1)
         .unwrap();
-        assert_eq!(placement.tenant_count(), 1);
-        assert!((placement.tenant_load(TenantId::new(1)).unwrap() - 0.5).abs() < 1e-12);
-
-        // A snapshot replaces the whole state.
-        let mut other = Placement::new(2);
-        other.open_bin(None);
-        other.open_bin(None);
-        other
-            .place_tenant(
-                &Tenant::new(TenantId::new(9), Load::new(0.3).unwrap()),
-                &[BinId::new(0), BinId::new(1)],
-            )
-            .unwrap();
-        JournalRecord::Snapshot { dump: PlacementDump::from_placement(&other) }
-            .apply(&mut placement, 2)
-            .unwrap();
-        assert_eq!(dump_json(&placement), dump_json(&other));
+        assert_eq!(dump_json(&replayed), dump_json(&live));
     }
 
     #[test]

@@ -7,7 +7,6 @@ use crate::frame::{self, FrameParse, HEADER_LEN};
 use crate::journal::{CheckpointFile, CHECKPOINT_FILE, WAL_FILE};
 use crate::record::JournalRecord;
 use cubefit_core::{Placement, PlacementDump};
-use cubefit_telemetry::{Recorder, TraceEvent};
 use std::fs;
 use std::path::Path;
 
@@ -49,16 +48,7 @@ impl RecoveredState {
 ///
 /// See [`recover_up_to`].
 pub fn recover(dir: impl AsRef<Path>) -> Result<RecoveredState> {
-    recover_inner(dir.as_ref(), u64::MAX, None)
-}
-
-/// [`recover`], emitting a [`TraceEvent::RecoveryReplayed`] event.
-///
-/// # Errors
-///
-/// See [`recover_up_to`].
-pub fn recover_with(dir: impl AsRef<Path>, recorder: &Recorder) -> Result<RecoveredState> {
-    recover_inner(dir.as_ref(), u64::MAX, Some(recorder))
+    recover_up_to(dir, u64::MAX)
 }
 
 /// Recovers only up to sequence number `max_seq` (inclusive) — the state
@@ -81,10 +71,7 @@ pub fn recover_with(dir: impl AsRef<Path>, recorder: &Recorder) -> Result<Recove
 /// - [`DurabilityError::Unsupported`] when `max_seq` predates the
 ///   checkpoint (the journal no longer holds those frames).
 pub fn recover_up_to(dir: impl AsRef<Path>, max_seq: u64) -> Result<RecoveredState> {
-    recover_inner(dir.as_ref(), max_seq, None)
-}
-
-fn recover_inner(dir: &Path, max_seq: u64, recorder: Option<&Recorder>) -> Result<RecoveredState> {
+    let dir = dir.as_ref();
     let wal_path = dir.join(WAL_FILE);
     let bytes = fs::read(&wal_path).map_err(|e| DurabilityError::io(&wal_path, &e))?;
     let gamma = parse_gamma(&wal_path, &bytes)?;
@@ -165,13 +152,6 @@ fn recover_inner(dir: &Path, max_seq: u64, recorder: Option<&Recorder>) -> Resul
     }
 
     state.placement = placement;
-    if let Some(recorder) = recorder {
-        recorder.emit(|| TraceEvent::RecoveryReplayed {
-            checkpoint_seq: state.checkpoint_seq,
-            frames_replayed: state.frames_replayed,
-            torn_tail: state.torn_tail,
-        });
-    }
     Ok(state)
 }
 
@@ -369,33 +349,6 @@ mod tests {
         fs::create_dir_all(&dir).unwrap();
         fs::write(dir.join(WAL_FILE), b"this is not a journal, honest").unwrap();
         assert!(matches!(recover(&dir).unwrap_err(), DurabilityError::BadHeader { .. }));
-    }
-
-    #[test]
-    fn recovery_emits_a_trace_event() {
-        use cubefit_telemetry::{TraceSink, VecSink};
-        use std::sync::Arc;
-        struct Shared(Arc<VecSink>);
-        impl TraceSink for Shared {
-            fn record(&self, event: &TraceEvent) {
-                self.0.record(event);
-            }
-        }
-        let (dir, _live) = journaled_stream("traced", Some(2));
-        let sink = Arc::new(VecSink::new());
-        let recorder = Recorder::with_sink(Shared(Arc::clone(&sink)));
-        let state = recover_with(&dir, &recorder).unwrap();
-        let replayed = sink
-            .events()
-            .into_iter()
-            .find_map(|e| match e {
-                TraceEvent::RecoveryReplayed { checkpoint_seq, frames_replayed, torn_tail } => {
-                    Some((checkpoint_seq, frames_replayed, torn_tail))
-                }
-                _ => None,
-            })
-            .expect("a RecoveryReplayed event");
-        assert_eq!(replayed, (state.checkpoint_seq, state.frames_replayed, state.torn_tail));
     }
 
     #[test]

@@ -3,15 +3,17 @@
 //!
 //! Write ordering is journal-**after**-apply, journal-**before**-ack: a
 //! mutation that errors is never journaled (the algorithm's fail-fast
-//! contract means it left no trace to record), and a mutation whose
-//! journal append fails is reported as a durability error even though it
-//! applied in memory — the caller must not act on unjournaled state.
+//! contract means it left no trace to record), a batch journals the ops
+//! that applied before its failing one, and a mutation whose journal
+//! append fails is reported as a durability error even though it applied
+//! in memory — the caller must not act on unjournaled state.
 
+use crate::error::DurabilityError;
 use crate::journal::Journal;
-use crate::record::{BatchOp, JournalRecord, RecoveryMove};
+use crate::record::{JournalRecord, RecoveryMove};
 use cubefit_core::{
-    BinId, Consolidator, LoadUpdateOutcome, Placement, PlacementDump, PlacementOutcome,
-    RecoveryReport, RemovalOutcome, Result, Tenant, TenantId,
+    BinId, Consolidator, LoadUpdateOutcome, Placement, PlacementOutcome, RecoveryReport,
+    RemovalOutcome, Result, Tenant, TenantId,
 };
 use cubefit_telemetry::Recorder;
 
@@ -30,6 +32,37 @@ impl std::fmt::Debug for JournaledConsolidator {
     }
 }
 
+/// A mutation's outcome on the inner algorithm, with the record that
+/// replays it.
+type Applied<O> = Result<(O, JournalRecord)>;
+
+fn place_op(inner: &mut dyn Consolidator, tenant: Tenant) -> Applied<PlacementOutcome> {
+    let load = tenant.load().get();
+    let outcome = inner.place(tenant)?;
+    let record = JournalRecord::Place {
+        tenant: outcome.tenant.get(),
+        load,
+        servers: outcome.bins.iter().map(|b| b.index()).collect(),
+        servers_after: inner.placement().created_bins(),
+    };
+    Ok((outcome, record))
+}
+
+fn remove_op(inner: &mut dyn Consolidator, tenant: TenantId) -> Applied<RemovalOutcome> {
+    let outcome = inner.remove(tenant)?;
+    let record = JournalRecord::Remove { tenant: outcome.tenant.get() };
+    Ok((outcome, record))
+}
+
+fn update_load_op(
+    inner: &mut dyn Consolidator,
+    (tenant, new_load): (TenantId, f64),
+) -> Applied<LoadUpdateOutcome> {
+    let outcome = inner.update_load(tenant, new_load)?;
+    let record = JournalRecord::UpdateLoad { tenant: outcome.tenant.get(), load: outcome.new_load };
+    Ok((outcome, record))
+}
+
 impl JournaledConsolidator {
     /// Wraps `inner` so every mutation appends to `journal` before the
     /// outcome is returned.
@@ -45,36 +78,48 @@ impl JournaledConsolidator {
         &self.journal
     }
 
-    fn snapshot_fallback(&self, original: cubefit_core::Error) -> cubefit_core::Error {
-        // A failed batch leaves its fail-fast prefix applied, but the
-        // error path carries no per-op outcomes to journal. Embed a full
-        // snapshot so the journal stays truthful, then surface the
-        // original error. If even the snapshot cannot be journaled, the
-        // durability failure wins — the in-memory state is unackable.
-        let dump = PlacementDump::from_placement(self.inner.placement());
-        match self.journal.append(&JournalRecord::Snapshot { dump }) {
-            Ok(_) => original,
-            Err(e) => e.into(),
+    /// Runs `op` over `items` in order, stopping at the first error, and
+    /// journals the ops that applied as one `Batch` frame: the whole
+    /// batch, or the prefix before a failing op, and nothing when none
+    /// applied. A failed append wins over the op's error — the applied
+    /// prefix is then not durable and must not be acknowledged.
+    fn journal_batch<I, O>(
+        &mut self,
+        items: impl ExactSizeIterator<Item = I>,
+        op: fn(&mut dyn Consolidator, I) -> Applied<O>,
+    ) -> Result<Vec<O>> {
+        let mut outcomes = Vec::with_capacity(items.len());
+        let mut ops = Vec::with_capacity(items.len());
+        let mut failure = None;
+        for item in items {
+            match op(&mut *self.inner, item) {
+                Ok((outcome, record)) => {
+                    outcomes.push(outcome);
+                    ops.push(record);
+                }
+                Err(e) => {
+                    failure = Some(e);
+                    break;
+                }
+            }
         }
+        if !ops.is_empty() {
+            self.journal.append(&JournalRecord::Batch { ops })?;
+        }
+        failure.map_or(Ok(outcomes), Err)
     }
 }
 
 impl Consolidator for JournaledConsolidator {
     fn place(&mut self, tenant: Tenant) -> Result<PlacementOutcome> {
-        let load = tenant.load().get();
-        let outcome = self.inner.place(tenant)?;
-        self.journal.append(&JournalRecord::Place {
-            tenant: outcome.tenant.get(),
-            load,
-            servers: outcome.bins.iter().map(|b| b.index()).collect(),
-            servers_after: self.inner.placement().created_bins(),
-        })?;
+        let (outcome, record) = place_op(&mut *self.inner, tenant)?;
+        self.journal.append(&record)?;
         Ok(outcome)
     }
 
     fn remove(&mut self, tenant: TenantId) -> Result<RemovalOutcome> {
-        let outcome = self.inner.remove(tenant)?;
-        self.journal.append(&JournalRecord::Remove { tenant: outcome.tenant.get() })?;
+        let (outcome, record) = remove_op(&mut *self.inner, tenant)?;
+        self.journal.append(&record)?;
         Ok(outcome)
     }
 
@@ -99,110 +144,31 @@ impl Consolidator for JournaledConsolidator {
 
         let report = self.inner.recover(failed)?;
 
-        let mut moves = Vec::new();
-        let mut diffable = true;
-        for (tenant, bins_before) in &before {
-            let bins_after = self.inner.placement().tenant_bins(*tenant).unwrap_or(&[]).to_vec();
-            let sources: Vec<BinId> =
-                bins_before.iter().copied().filter(|b| !bins_after.contains(b)).collect();
-            let dests: Vec<BinId> =
-                bins_after.iter().copied().filter(|b| !bins_before.contains(b)).collect();
-            if sources.len() != dests.len() {
-                diffable = false;
-                break;
-            }
-            // Recovery never changes a tenant's replica count, so vacated
-            // sources pair 1:1 with fresh destinations; the moves are
-            // independent (distinct bins), so the pairing order is free.
-            moves.extend(sources.iter().zip(dests.iter()).map(|(from, to)| RecoveryMove {
-                tenant: tenant.get(),
-                from: from.index(),
-                to: to.index(),
-            }));
-        }
-        let record = if diffable {
-            JournalRecord::Recover {
-                failed: failed.iter().map(|b| b.index()).collect(),
-                moves,
-                servers_after: self.inner.placement().created_bins(),
-            }
-        } else {
-            // Replica counts changed across recovery — outside the diff
-            // model. Journal the full state instead of guessing.
-            JournalRecord::Snapshot { dump: PlacementDump::from_placement(self.inner.placement()) }
-        };
-        self.journal.append(&record)?;
+        let moves = recovery_moves(&before, self.inner.placement())?;
+        self.journal.append(&JournalRecord::Recover {
+            failed: failed.iter().map(|b| b.index()).collect(),
+            moves,
+            servers_after: self.inner.placement().created_bins(),
+        })?;
         Ok(report)
     }
 
     fn update_load(&mut self, tenant: TenantId, new_load: f64) -> Result<LoadUpdateOutcome> {
-        let outcome = self.inner.update_load(tenant, new_load)?;
-        self.journal.append(&JournalRecord::UpdateLoad {
-            tenant: outcome.tenant.get(),
-            load: outcome.new_load,
-        })?;
+        let (outcome, record) = update_load_op(&mut *self.inner, (tenant, new_load))?;
+        self.journal.append(&record)?;
         Ok(outcome)
     }
 
     fn place_batch(&mut self, tenants: Vec<Tenant>) -> Result<Vec<PlacementOutcome>> {
-        let loads: Vec<(u64, f64)> =
-            tenants.iter().map(|t| (t.id().get(), t.load().get())).collect();
-        match self.inner.place_batch(tenants) {
-            Ok(outcomes) => {
-                let ops = outcomes
-                    .iter()
-                    .zip(loads.iter())
-                    .map(|(outcome, &(_, load))| BatchOp::Place {
-                        tenant: outcome.tenant.get(),
-                        load,
-                        servers: outcome.bins.iter().map(|b| b.index()).collect(),
-                    })
-                    .collect();
-                self.journal.append(&JournalRecord::Batch {
-                    ops,
-                    servers_after: self.inner.placement().created_bins(),
-                })?;
-                Ok(outcomes)
-            }
-            Err(e) => Err(self.snapshot_fallback(e)),
-        }
+        self.journal_batch(tenants.into_iter(), place_op)
     }
 
     fn remove_batch(&mut self, tenants: &[TenantId]) -> Result<Vec<RemovalOutcome>> {
-        match self.inner.remove_batch(tenants) {
-            Ok(outcomes) => {
-                let ops = outcomes
-                    .iter()
-                    .map(|outcome| BatchOp::Remove { tenant: outcome.tenant.get() })
-                    .collect();
-                self.journal.append(&JournalRecord::Batch {
-                    ops,
-                    servers_after: self.inner.placement().created_bins(),
-                })?;
-                Ok(outcomes)
-            }
-            Err(e) => Err(self.snapshot_fallback(e)),
-        }
+        self.journal_batch(tenants.iter().copied(), remove_op)
     }
 
     fn update_load_batch(&mut self, updates: &[(TenantId, f64)]) -> Result<Vec<LoadUpdateOutcome>> {
-        match self.inner.update_load_batch(updates) {
-            Ok(outcomes) => {
-                let ops = outcomes
-                    .iter()
-                    .map(|outcome| BatchOp::UpdateLoad {
-                        tenant: outcome.tenant.get(),
-                        load: outcome.new_load,
-                    })
-                    .collect();
-                self.journal.append(&JournalRecord::Batch {
-                    ops,
-                    servers_after: self.inner.placement().created_bins(),
-                })?;
-                Ok(outcomes)
-            }
-            Err(e) => Err(self.snapshot_fallback(e)),
-        }
+        self.journal_batch(updates.iter().copied(), update_load_op)
     }
 
     fn migrate(&mut self, tenant: TenantId, from: BinId, to: BinId) -> Result<()> {
@@ -240,13 +206,52 @@ impl Consolidator for JournaledConsolidator {
     }
 }
 
+/// Pairs each affected tenant's vacated bins (from `before`) with the
+/// bins it newly occupies in `after`. The moves are independent (distinct
+/// bins), so the pairing order is free.
+///
+/// # Errors
+///
+/// A [`DurabilityError::Unsupported`] when a tenant's replica count
+/// changed: no move list describes that, so the recovery cannot be
+/// journaled.
+fn recovery_moves(
+    before: &[(TenantId, Vec<BinId>)],
+    after: &Placement,
+) -> std::result::Result<Vec<RecoveryMove>, DurabilityError> {
+    let mut moves = Vec::new();
+    for (tenant, bins_before) in before {
+        let bins_after = after.tenant_bins(*tenant).unwrap_or(&[]);
+        let sources: Vec<BinId> =
+            bins_before.iter().copied().filter(|b| !bins_after.contains(b)).collect();
+        let dests: Vec<BinId> =
+            bins_after.iter().copied().filter(|b| !bins_before.contains(b)).collect();
+        if sources.len() != dests.len() {
+            return Err(DurabilityError::Unsupported {
+                detail: format!(
+                    "recovery changed tenant {tenant}'s replica count ({} → {} servers); \
+                     a move list cannot journal it",
+                    bins_before.len(),
+                    bins_after.len()
+                ),
+            });
+        }
+        moves.extend(sources.iter().zip(&dests).map(|(from, to)| RecoveryMove {
+            tenant: tenant.get(),
+            from: from.index(),
+            to: to.index(),
+        }));
+    }
+    Ok(moves)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::journal::FsyncPolicy;
     use crate::recover::recover;
     use cubefit_baselines::FirstFit;
-    use cubefit_core::Load;
+    use cubefit_core::{Load, PlacementDump};
     use std::path::PathBuf;
 
     fn tmp_dir(name: &str) -> PathBuf {
@@ -335,19 +340,37 @@ mod tests {
     }
 
     #[test]
-    fn failed_batch_journals_a_snapshot_of_the_applied_prefix() {
+    fn failed_batch_journals_the_applied_prefix() {
         let mut consolidator = journaled("failed-batch", 2);
-        consolidator.place(tenant(1, 0.4)).unwrap();
+        consolidator.place_batch(vec![tenant(1, 0.4), tenant(2, 0.3)]).unwrap();
         // Second op fails (tenant 99 unknown); fail-fast leaves the first
-        // removal applied.
+        // removal applied, and the frame holds just that removal.
         let err = consolidator.remove_batch(&[TenantId::new(1), TenantId::new(99)]);
         assert!(err.is_err());
+        assert_eq!(consolidator.journal().last_seq(), 2);
         let state = recover(consolidator.journal().dir()).unwrap();
         assert_eq!(
             serde_json::to_string(&state.dump()).unwrap(),
             dump_json(consolidator.placement()),
-            "the snapshot frame must capture the fail-fast prefix"
+            "the batch frame must capture the fail-fast prefix"
         );
+        // A batch whose first op fails applied nothing and journals nothing.
+        let err = consolidator.update_load_batch(&[(TenantId::new(99), 0.5)]);
+        assert!(err.is_err());
+        assert_eq!(consolidator.journal().last_seq(), 2, "an empty prefix appends no frame");
+    }
+
+    #[test]
+    fn a_replica_count_change_cannot_be_journaled_as_moves() {
+        let mut after = Placement::new(2);
+        let bins = [after.open_bin(None), after.open_bin(None), after.open_bin(None)];
+        after.place_tenant(&tenant(1, 0.4), &bins[1..]).unwrap();
+        let moved = [(TenantId::new(1), vec![bins[0], bins[1]])];
+        let moves = recovery_moves(&moved, &after).unwrap();
+        assert_eq!(moves, [RecoveryMove { tenant: 1, from: 0, to: 2 }]);
+        let shrunk = [(TenantId::new(1), vec![bins[0], bins[1], bins[2], BinId::new(7)])];
+        let err = recovery_moves(&shrunk, &after).unwrap_err();
+        assert!(matches!(err, DurabilityError::Unsupported { .. }), "{err}");
     }
 
     #[test]

@@ -1,8 +1,10 @@
 //! Exhaustive damage sweep over a small journal.
 //!
-//! A short journaled stream writes every frame kind a run without errors
-//! produces — single places, a batch, a load update, a removal, a failure
-//! recovery, a migration and the closing seal. Then:
+//! A short journaled stream writes every frame kind the journal emits —
+//! single places, a place batch, a load update, a removal, a load-update
+//! batch, a remove batch, a batch that failed after its first op (its
+//! frame holds that op), a failure recovery, a migration and the closing
+//! seal. Then:
 //!
 //! - every bit of `wal.log` is flipped in turn, and recovery must refuse
 //!   each damaged log with a typed error (a flipped bit never silently
@@ -18,7 +20,9 @@
 //! frame-less `wal.log` (a flipped γ has no frame to contradict it). Each
 //! flip must be refused as a bad checkpoint or a bad header.
 
-use cubefit_core::{BinId, Consolidator, CubeFit, CubeFitConfig, Load, PlacementDump, Tenant};
+use cubefit_core::{
+    BinId, Consolidator, CubeFit, CubeFitConfig, Load, PlacementDump, Tenant, TenantId,
+};
 use cubefit_durability::frame::{self, FrameParse, HEADER_LEN};
 use cubefit_durability::{
     recover, DurabilityError, FsyncPolicy, Journal, JournaledConsolidator, CHECKPOINT_FILE,
@@ -50,13 +54,24 @@ fn journaled_stream(dir: &Path) -> (Vec<u8>, Vec<String>) {
         live.place(tenant(load)).unwrap();
         dumps.push(dump_json(&live));
     }
-    let batch = live.place_batch(vec![tenant(0.12), tenant(0.36), tenant(0.5)]).unwrap();
+    let batch = live
+        .place_batch(vec![tenant(0.12), tenant(0.36), tenant(0.5), tenant(0.25), tenant(0.4)])
+        .unwrap();
+    let ids: Vec<TenantId> = batch.iter().map(|outcome| outcome.tenant).collect();
     dumps.push(dump_json(&live));
-    live.update_load(batch[0].tenant, 0.2).unwrap();
+    live.update_load(ids[0], 0.2).unwrap();
     dumps.push(dump_json(&live));
-    live.remove(batch[1].tenant).unwrap();
+    live.remove(ids[1]).unwrap();
     dumps.push(dump_json(&live));
-    let failed = live.placement().tenant_bins(batch[2].tenant).unwrap()[0];
+    live.update_load_batch(&[(ids[0], 0.3), (ids[2], 0.45)]).unwrap();
+    dumps.push(dump_json(&live));
+    live.remove_batch(&[ids[3], ids[4]]).unwrap();
+    dumps.push(dump_json(&live));
+    // Automatic ids set bit 63, so tenant 0 is unknown: the batch fails
+    // after removing ids[0], and its frame holds that one removal.
+    live.remove_batch(&[ids[0], TenantId::new(0), ids[2]]).unwrap_err();
+    dumps.push(dump_json(&live));
+    let failed = live.placement().tenant_bins(ids[2]).unwrap()[0];
     live.recover(&[failed]).unwrap();
     dumps.push(dump_json(&live));
     let (moved, from) = {

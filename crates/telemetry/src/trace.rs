@@ -597,11 +597,11 @@ pub(crate) mod tests {
 
     impl Write for BrokenWriter {
         fn write(&mut self, _buf: &[u8]) -> std::io::Result<usize> {
-            Err(std::io::Error::new(std::io::ErrorKind::Other, "disk full"))
+            Err(std::io::Error::other("disk full"))
         }
 
         fn flush(&mut self) -> std::io::Result<()> {
-            Err(std::io::Error::new(std::io::ErrorKind::Other, "disk full"))
+            Err(std::io::Error::other("disk full"))
         }
     }
 

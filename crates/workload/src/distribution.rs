@@ -213,8 +213,8 @@ mod tests {
         for _ in 0..n {
             counts[d.sample_clients(&mut rng) as usize] += 1;
         }
-        for c in 1..=4 {
-            let freq = counts[c] as f64 / n as f64;
+        for (c, &count) in counts.iter().enumerate().skip(1) {
+            let freq = count as f64 / n as f64;
             assert!((freq - 0.25).abs() < 0.01, "clients={c}: {freq}");
         }
     }

@@ -251,9 +251,11 @@ mod tests {
     #[test]
     fn bencher_measures_iterations() {
         std::env::set_var("CRITERION_QUICK", "1");
-        let mut criterion = Criterion::default();
-        criterion.measurement_time = Duration::from_millis(5);
-        criterion.warm_up_time = Duration::from_millis(1);
+        let mut criterion = Criterion {
+            measurement_time: Duration::from_millis(5),
+            warm_up_time: Duration::from_millis(1),
+            ..Criterion::default()
+        };
         let mut ran = 0u64;
         criterion.bench_function("noop", |b| {
             b.iter(|| {
@@ -265,9 +267,11 @@ mod tests {
 
     #[test]
     fn group_applies_throughput_and_finishes() {
-        let mut criterion = Criterion::default();
-        criterion.measurement_time = Duration::from_millis(5);
-        criterion.warm_up_time = Duration::from_millis(1);
+        let mut criterion = Criterion {
+            measurement_time: Duration::from_millis(5),
+            warm_up_time: Duration::from_millis(1),
+            ..Criterion::default()
+        };
         let mut group = criterion.benchmark_group("g");
         group.throughput(Throughput::Elements(100));
         group.sample_size(10);

@@ -500,7 +500,7 @@ mod tests {
             pair in (0.0f64..1.0, any::<u8>()),
             items in prop::collection::vec(0usize..4, 0..8),
         ) {
-            prop_assert!(x >= 1 && x < 100);
+            prop_assert!((1..100).contains(&x));
             prop_assert!(pair.0 < 1.0);
             prop_assert_eq!(items.len() < 8, true);
         }

@@ -605,7 +605,7 @@ mod tests {
         assert_eq!(u64::from_value(&42u64.to_value()).unwrap(), 42);
         assert_eq!(i32::from_value(&(-7i32).to_value()).unwrap(), -7);
         assert_eq!(f64::from_value(&0.25f64.to_value()).unwrap(), 0.25);
-        assert_eq!(bool::from_value(&true.to_value()).unwrap(), true);
+        assert!(bool::from_value(&true.to_value()).unwrap());
         assert_eq!(String::from_value(&"hi".to_value()).unwrap(), "hi");
         assert_eq!(Option::<u8>::from_value(&Value::Null).unwrap(), None);
         assert_eq!(Option::<u8>::from_value(&3u8.to_value()).unwrap(), Some(3));
