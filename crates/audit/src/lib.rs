@@ -3,7 +3,7 @@
 //! Differential test layer for the workspace's consolidation algorithms.
 //!
 //! Every algorithm relies on the same incremental bookkeeping
-//! ([`cubefit_core::shared::SharedIndex`] behind
+//! (the shared-load index of [`cubefit_core::shared`] behind
 //! [`cubefit_core::Placement`]) for levels, pairwise shared loads and
 //! cached failover reserves. This crate assembles each algorithm behind an
 //! [`AuditedConsolidator`], which recomputes all of those quantities from

@@ -1,7 +1,7 @@
 //! Shared feasibility logic and telemetry plumbing for baseline packers.
 
 use cubefit_core::smallbuf::SmallBuf;
-use cubefit_core::{BinId, Placement, Tenant, EPSILON};
+use cubefit_core::{BinId, Placement, Tenant, TenantId, EPSILON};
 use cubefit_telemetry::{Counter, Recorder, TraceEvent};
 
 /// Telemetry handles shared by the baseline packers, resolved once when a
@@ -71,6 +71,16 @@ impl BaselineTelemetry {
             bins: bins.iter().map(|b| b.index()).collect(),
             stage: "Direct".to_owned(),
             opened,
+        });
+    }
+
+    /// Emits `ReplicaMigrated` for one replica of `load` moved off `from`.
+    pub fn migrated(&self, tenant: TenantId, from: BinId, to: BinId, load: f64) {
+        self.recorder.emit(|| TraceEvent::ReplicaMigrated {
+            tenant: tenant.get(),
+            from: from.index(),
+            to: to.index(),
+            load,
         });
     }
 }

@@ -7,373 +7,139 @@
 //! After selecting all `γ` servers the assignment is re-validated as a
 //! whole (later replicas raise earlier servers' shared loads); if the
 //! combination fails, the tenant falls back to `γ` fresh servers, which is
-//! always feasible.
+//! always feasible. The three differ only in their [`Rule`]'s candidate
+//! order.
 
-use crate::common::{assignment_feasible, extends_assignment, BaselineTelemetry, ReserveMode};
-use cubefit_core::algorithm::{LoadUpdateOutcome, RemovalOutcome};
-use cubefit_core::level_index::LevelIndex;
-use cubefit_core::recovery::{self, RecoveryReport};
-use cubefit_core::{
-    BinId, Consolidator, Error, Placement, PlacementOutcome, PlacementStage, Result, Tenant,
-    TenantId,
-};
-use cubefit_telemetry::{Recorder, TraceEvent};
-use std::cell::Cell;
+use crate::common::ReserveMode;
+use crate::engine::{Baseline, Rule};
+use cubefit_core::bin_index::BinIndex;
+use cubefit_core::{BinId, Placement, Result};
 
-/// Which feasible server a greedy packer prefers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Preference {
-    /// Fullest feasible server (minimum leftover) — Best Fit.
-    Fullest,
-    /// Lowest-numbered feasible server — First Fit.
-    Oldest,
-    /// Emptiest feasible server — Worst Fit.
-    Emptiest,
-}
+/// Best Fit's rule: the fullest feasible server, scanning the level index
+/// downward from the highest level the replica could still fit at.
+#[derive(Debug, Clone, Copy)]
+pub struct Fullest;
 
-/// Shared machinery behind the greedy packers.
-#[derive(Debug, Clone)]
-struct Greedy {
-    placement: Placement,
-    index: LevelIndex,
-    /// Bins in opening order (for First Fit scans).
-    order: Vec<BinId>,
-    reserve: ReserveMode,
-    preference: Preference,
-    fallbacks: usize,
-    telemetry: BaselineTelemetry,
-}
+impl Rule for Fullest {
+    const NAME: &'static str = "bestfit";
 
-impl Greedy {
-    fn new(gamma: usize, reserve: ReserveMode, preference: Preference) -> Result<Self> {
-        if gamma < 2 {
-            return Err(Error::InvalidReplication { gamma });
-        }
-        Ok(Greedy {
-            placement: Placement::new(gamma),
-            index: LevelIndex::new(),
-            order: Vec::new(),
-            reserve,
-            preference,
-            fallbacks: 0,
-            telemetry: BaselineTelemetry::default(),
-        })
+    fn key(&self, placement: &Placement, bin: BinId) -> Option<f64> {
+        Some(placement.level(bin))
     }
 
-    /// Returns the preferred feasible server plus how many candidates the
-    /// scan inspected (for `FitAttempt` trace events).
-    fn pick(&self, size: f64, chosen: &[BinId]) -> (Option<BinId>, usize) {
-        let scanned = Cell::new(0_usize);
-        let ok = |bin: &BinId| {
-            scanned.set(scanned.get() + 1);
-            !chosen.contains(bin)
-                && extends_assignment(&self.placement, chosen, *bin, size, self.reserve, None)
-        };
-        let hit = match self.preference {
-            Preference::Fullest => self.index.iter_desc_at_most(1.0 - size).find(|b| ok(b)),
-            Preference::Emptiest => self.index.iter_asc().find(|b| ok(b)),
-            Preference::Oldest => self.order.iter().copied().find(|b| ok(b)),
-        };
-        (hit, scanned.get())
-    }
-
-    fn open(&mut self) -> BinId {
-        let bin = self.placement.open_bin(None);
-        self.index.insert(bin, 0.0);
-        self.order.push(bin);
-        bin
-    }
-
-    fn place(&mut self, tenant: Tenant) -> Result<PlacementOutcome> {
-        if self.placement.tenant_bins(tenant.id()).is_some() {
-            return Err(Error::DuplicateTenant { tenant: tenant.id() });
-        }
-        let gamma = self.placement.gamma();
-        let size = tenant.replica_size(gamma);
-        self.telemetry.arrival(&tenant, self.placement.tenant_count());
-
-        let mut chosen: Vec<BinId> = Vec::with_capacity(gamma);
-        let mut opened = 0;
-        for replica in 0..gamma {
-            let (pick, scanned) = self.pick(size, &chosen);
-            self.telemetry.recorder.emit(|| TraceEvent::FitAttempt {
-                tenant: tenant.id().get(),
-                replica,
-                scanned,
-                opened_new: pick.is_none(),
-            });
-            match pick {
-                Some(bin) => chosen.push(bin),
-                None => {
-                    chosen.push(self.open());
-                    opened += 1;
-                }
-            }
-        }
-        if !assignment_feasible(&self.placement, &chosen, size, self.reserve, None) {
-            // Later replicas invalidated an earlier server's reserve; the
-            // always-feasible fallback uses γ fresh servers.
-            self.fallbacks += 1;
-            self.telemetry.fallbacks.inc();
-            chosen = (0..gamma).map(|_| self.open()).collect();
-            opened = gamma;
-        }
-        let pending = self.telemetry.pending_opens(&self.placement, &chosen);
-        self.commit(&tenant, &chosen)?;
-        self.telemetry.opened(&self.placement, &pending);
-        self.telemetry.placed(&tenant, &chosen, opened);
-        Ok(PlacementOutcome {
-            tenant: tenant.id(),
-            bins: chosen,
-            opened,
-            stage: PlacementStage::Direct,
-        })
-    }
-
-    fn commit(&mut self, tenant: &Tenant, bins: &[BinId]) -> Result<()> {
-        let old: Vec<(BinId, f64)> = bins.iter().map(|&b| (b, self.placement.level(b))).collect();
-        self.placement.place_tenant(tenant, bins)?;
-        for (bin, old_level) in old {
-            self.index.update(bin, old_level, self.placement.level(bin));
-        }
-        Ok(())
-    }
-
-    fn remove(&mut self, tenant: TenantId) -> Result<RemovalOutcome> {
-        let old: Vec<(BinId, f64)> = self
-            .placement
-            .tenant_bins(tenant)
-            .ok_or(Error::UnknownTenant { tenant })?
-            .iter()
-            .map(|&b| (b, self.placement.level(b)))
-            .collect();
-        let (load, bins) = self.placement.remove_tenant(tenant)?;
-        // Emptied bins stay in the level index (at level 0) and in the
-        // opening order, so later arrivals reuse them before opening new
-        // servers.
-        for (bin, old_level) in old {
-            self.index.update(bin, old_level, self.placement.level(bin));
-        }
-        self.telemetry.recorder.emit(|| TraceEvent::TenantDeparted { tenant: tenant.get(), load });
-        Ok(RemovalOutcome { tenant, load, bins })
-    }
-
-    fn update_load(&mut self, tenant: TenantId, new_load: f64) -> Result<LoadUpdateOutcome> {
-        // Only the tenant's own bins change level, so only their index keys
-        // move — the same footprint as a removal.
-        let old: Vec<(BinId, f64)> = self
-            .placement
-            .tenant_bins(tenant)
-            .ok_or(Error::UnknownTenant { tenant })?
-            .iter()
-            .map(|&b| (b, self.placement.level(b)))
-            .collect();
-        let (old_load, bins) = self.placement.update_load(tenant, new_load)?;
-        for (bin, old_level) in old {
-            self.index.update(bin, old_level, self.placement.level(bin));
-        }
-        Ok(LoadUpdateOutcome { tenant, old_load, new_load, bins })
-    }
-
-    /// Placement decisions query the reserve per replica, so batched
-    /// placement keeps the sequential decision loop and only amortizes the
-    /// tenant-table growth.
-    fn place_batch(&mut self, tenants: Vec<Tenant>) -> Result<Vec<PlacementOutcome>> {
-        self.placement.reserve_tenants(tenants.len());
-        tenants.into_iter().map(|tenant| self.place(tenant)).collect()
-    }
-
-    /// Re-homes orphaned replicas using the packer's own preference order
-    /// (fullest / oldest / emptiest feasible survivor), under the full
-    /// `γ − 1` reserve so recovery never weakens robustness regardless of
-    /// the configured [`ReserveMode`].
-    fn recover(&mut self, failed: &[BinId]) -> Result<RecoveryReport> {
-        let orphan_list = recovery::orphans(&self.placement, failed);
-        let mut report = RecoveryReport::default();
-        let mut affected: Vec<TenantId> = Vec::new();
-        let gamma = self.placement.gamma() as f64;
-        for (tenant, from) in orphan_list {
-            if !affected.contains(&tenant) {
-                affected.push(tenant);
-            }
-            let load = self.placement.tenant_load(tenant).expect("orphaned tenants are placed");
-            let replica = load / gamma;
-            let candidates: Vec<BinId> = match self.preference {
-                Preference::Fullest => self.index.iter_desc_at_most(1.0 - replica).collect(),
-                Preference::Emptiest => self.index.iter_asc().collect(),
-                Preference::Oldest => self.order.clone(),
-            };
-            let target = recovery::pick_target(&self.placement, tenant, from, failed, candidates);
-            let to = match target {
-                Some(bin) => bin,
-                None => {
-                    report.bins_opened += 1;
-                    self.open()
-                }
-            };
-            let old_from = self.placement.level(from);
-            let old_to = self.placement.level(to);
-            self.placement.move_replica(tenant, from, to)?;
-            self.index.update(from, old_from, self.placement.level(from));
-            self.index.update(to, old_to, self.placement.level(to));
-            report.replicas_migrated += 1;
-            report.moved_load += replica;
-            self.telemetry.recorder.emit(|| TraceEvent::ReplicaMigrated {
-                tenant: tenant.get(),
-                from: from.index(),
-                to: to.index(),
-                load: replica,
-            });
-        }
-        report.tenants_affected = affected.len();
-        Ok(report)
-    }
-
-    /// Applies a planned migration. Only the level-keyed index entries of
-    /// the two endpoints move — shared loads are not part of the key.
-    fn migrate(&mut self, tenant: TenantId, from: BinId, to: BinId) -> Result<()> {
-        let gamma = self.placement.gamma() as f64;
-        let load = self.placement.tenant_load(tenant).ok_or(Error::UnknownTenant { tenant })?;
-        let old_from = self.placement.level(from);
-        let old_to = self.placement.level(to);
-        self.placement.move_replica(tenant, from, to)?;
-        self.index.update(from, old_from, self.placement.level(from));
-        self.index.update(to, old_to, self.placement.level(to));
-        self.telemetry.recorder.emit(|| TraceEvent::ReplicaMigrated {
-            tenant: tenant.get(),
-            from: from.index(),
-            to: to.index(),
-            load: load / gamma,
-        });
-        Ok(())
+    fn candidates<'a>(
+        &'a mut self,
+        index: &'a BinIndex,
+        _: &'a Placement,
+        size: f64,
+    ) -> impl Iterator<Item = BinId> + 'a {
+        index.iter_desc_at_most(1.0 - size)
     }
 }
 
-macro_rules! greedy_packer {
-    ($(#[$doc:meta])* $name:ident, $preference:expr, $label:literal) => {
-        $(#[$doc])*
-        #[derive(Debug, Clone)]
-        pub struct $name {
-            inner: Greedy,
-        }
+/// First Fit's rule: the oldest feasible server, in opening order.
+#[derive(Debug, Clone, Copy)]
+pub struct Oldest;
 
-        impl $name {
-            /// Creates the packer with the full `γ − 1`-failure reserve.
-            ///
-            /// # Errors
-            ///
-            /// Returns [`Error::InvalidReplication`] if `gamma < 2`.
-            pub fn new(gamma: usize) -> Result<Self> {
-                Self::with_reserve(gamma, ReserveMode::GammaMinusOne)
-            }
-
-            /// Creates the packer with an explicit [`ReserveMode`].
-            ///
-            /// # Errors
-            ///
-            /// Returns [`Error::InvalidReplication`] if `gamma < 2`.
-            pub fn with_reserve(gamma: usize, reserve: ReserveMode) -> Result<Self> {
-                Ok($name { inner: Greedy::new(gamma, reserve, $preference)? })
-            }
-
-            /// How many tenants required the all-fresh-servers fallback.
-            #[must_use]
-            pub fn fallbacks(&self) -> usize {
-                self.inner.fallbacks
-            }
-        }
-
-        impl Consolidator for $name {
-            fn place(&mut self, tenant: Tenant) -> Result<PlacementOutcome> {
-                self.inner.place(tenant)
-            }
-
-            fn remove(&mut self, tenant: TenantId) -> Result<RemovalOutcome> {
-                self.inner.remove(tenant)
-            }
-
-            fn update_load(&mut self, tenant: TenantId, new_load: f64) -> Result<LoadUpdateOutcome> {
-                self.inner.update_load(tenant, new_load)
-            }
-
-            fn place_batch(&mut self, tenants: Vec<Tenant>) -> Result<Vec<PlacementOutcome>> {
-                self.inner.place_batch(tenants)
-            }
-
-            fn recover(&mut self, failed: &[BinId]) -> Result<RecoveryReport> {
-                self.inner.recover(failed)
-            }
-
-            fn migrate(&mut self, tenant: TenantId, from: BinId, to: BinId) -> Result<()> {
-                self.inner.migrate(tenant, from, to)
-            }
-
-            fn clone_box(&self) -> Box<dyn Consolidator> {
-                Box::new(self.clone())
-            }
-
-            fn placement(&self) -> &Placement {
-                &self.inner.placement
-            }
-
-            fn name(&self) -> &'static str {
-                $label
-            }
-
-            fn set_recorder(&mut self, recorder: Recorder) {
-                self.inner.telemetry = crate::common::BaselineTelemetry::resolve(
-                    recorder,
-                    $label,
-                    self.inner.placement.gamma(),
-                );
-            }
-        }
-    };
+impl Rule for Oldest {
+    const NAME: &'static str = "firstfit";
 }
 
-greedy_packer!(
-    /// Failover-aware **Best Fit**: each replica goes to the fullest
-    /// feasible server.
+/// Worst Fit's rule: the emptiest feasible server, scanning the level
+/// index upward.
+#[derive(Debug, Clone, Copy)]
+pub struct Emptiest;
+
+impl Rule for Emptiest {
+    const NAME: &'static str = "worstfit";
+
+    fn key(&self, placement: &Placement, bin: BinId) -> Option<f64> {
+        Some(placement.level(bin))
+    }
+
+    fn candidates<'a>(
+        &'a mut self,
+        index: &'a BinIndex,
+        _: &'a Placement,
+        _: f64,
+    ) -> impl Iterator<Item = BinId> + 'a {
+        index.iter_asc_at_least(0.0)
+    }
+}
+
+/// Failover-aware **Best Fit**: each replica goes to the fullest feasible
+/// server.
+///
+/// ```
+/// use cubefit_baselines::BestFit;
+/// use cubefit_core::{Consolidator, Load, Tenant};
+///
+/// # fn main() -> Result<(), cubefit_core::Error> {
+/// let mut packer = BestFit::new(2)?;
+/// for load in [0.4, 0.4, 0.2] {
+///     packer.place(Tenant::with_load(Load::new(load)?))?;
+/// }
+/// assert!(packer.placement().is_robust());
+/// # Ok(())
+/// # }
+/// ```
+pub type BestFit = Baseline<Fullest>;
+
+/// Failover-aware **First Fit**: each replica goes to the oldest feasible
+/// server.
+pub type FirstFit = Baseline<Oldest>;
+
+/// Failover-aware **Worst Fit**: each replica goes to the emptiest feasible
+/// server (spreads load; a utilization-unfriendly strawman).
+pub type WorstFit = Baseline<Emptiest>;
+
+impl BestFit {
+    /// Creates the packer with the full `γ − 1`-failure reserve.
     ///
-    /// ```
-    /// use cubefit_baselines::BestFit;
-    /// use cubefit_core::{Consolidator, Load, Tenant};
+    /// # Errors
     ///
-    /// # fn main() -> Result<(), cubefit_core::Error> {
-    /// let mut packer = BestFit::new(2)?;
-    /// for load in [0.4, 0.4, 0.2] {
-    ///     packer.place(Tenant::with_load(Load::new(load)?))?;
-    /// }
-    /// assert!(packer.placement().is_robust());
-    /// # Ok(())
-    /// # }
-    /// ```
-    BestFit,
-    Preference::Fullest,
-    "bestfit"
-);
+    /// Returns [`cubefit_core::Error::InvalidReplication`] if `gamma < 2`.
+    pub fn new(gamma: usize) -> Result<Self> {
+        Self::with_reserve(gamma, ReserveMode::GammaMinusOne)
+    }
 
-greedy_packer!(
-    /// Failover-aware **First Fit**: each replica goes to the oldest
-    /// feasible server.
-    FirstFit,
-    Preference::Oldest,
-    "firstfit"
-);
+    /// Creates the packer with an explicit [`ReserveMode`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`cubefit_core::Error::InvalidReplication`] if `gamma < 2`.
+    pub fn with_reserve(gamma: usize, reserve: ReserveMode) -> Result<Self> {
+        Baseline::with_rule(gamma, reserve, Fullest)
+    }
+}
 
-greedy_packer!(
-    /// Failover-aware **Worst Fit**: each replica goes to the emptiest
-    /// feasible server (spreads load; a utilization-unfriendly strawman).
-    WorstFit,
-    Preference::Emptiest,
-    "worstfit"
-);
+impl FirstFit {
+    /// Creates the packer with the full `γ − 1`-failure reserve.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`cubefit_core::Error::InvalidReplication`] if `gamma < 2`.
+    pub fn new(gamma: usize) -> Result<Self> {
+        Baseline::with_rule(gamma, ReserveMode::GammaMinusOne, Oldest)
+    }
+}
+
+impl WorstFit {
+    /// Creates the packer with the full `γ − 1`-failure reserve.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`cubefit_core::Error::InvalidReplication`] if `gamma < 2`.
+    pub fn new(gamma: usize) -> Result<Self> {
+        Baseline::with_rule(gamma, ReserveMode::GammaMinusOne, Emptiest)
+    }
+}
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use cubefit_core::validity;
-    use cubefit_core::{Load, TenantId};
+    use cubefit_core::{Consolidator, Error, Load, Tenant, TenantId};
 
     fn tenant(id: u64, load: f64) -> Tenant {
         Tenant::new(TenantId::new(id), Load::new(load).unwrap())

@@ -18,8 +18,11 @@
 //! * [`offline`] — Best Fit Decreasing, a near-optimal offline comparator.
 //! * [`bounds`] — certified lower bounds on the offline optimum.
 //!
-//! Every algorithm implements [`cubefit_core::Consolidator`], so harnesses
-//! drive them interchangeably:
+//! The six online packers are one engine: each is an alias of
+//! [`Baseline`] over a small [`Rule`] (candidate order and index key,
+//! reserve, RFI's `μ` cap, Next Fit's window, Random Fit's probes), and
+//! [`Baseline`] implements [`cubefit_core::Consolidator`] once, so
+//! harnesses drive them interchangeably:
 //!
 //! ```
 //! use cubefit_baselines::Rfi;
@@ -38,6 +41,7 @@
 
 pub mod bounds;
 pub mod common;
+pub mod engine;
 pub mod greedy;
 pub mod nextfit;
 pub mod offline;
@@ -46,6 +50,7 @@ pub mod rfi;
 
 pub use common::ReserveMode;
 pub use cubefit_core::EPSILON;
+pub use engine::{Baseline, Rule};
 pub use greedy::{BestFit, FirstFit, WorstFit};
 pub use nextfit::NextFit;
 pub use randomfit::RandomFit;

@@ -1,19 +1,61 @@
 //! Next Fit adapted to replicated tenants.
 
-use crate::common::{assignment_feasible, BaselineTelemetry, ReserveMode};
-use cubefit_core::algorithm::{LoadUpdateOutcome, RemovalOutcome};
-use cubefit_core::recovery::{self, RecoveryReport};
-use cubefit_core::{
-    BinId, Consolidator, Error, Placement, PlacementOutcome, PlacementStage, Result, Tenant,
-    TenantId,
-};
-use cubefit_telemetry::{Recorder, TraceEvent};
+use crate::common::{assignment_feasible, ReserveMode};
+use crate::engine::{Baseline, Rule};
+use cubefit_core::{BinId, Result, Tenant};
+use cubefit_telemetry::TraceEvent;
+
+/// Next Fit's rule: the current window of `γ` servers, if one is open.
+/// Recovery scans every server in opening order (the default candidates):
+/// it is an offline repair pass, exempt from the bounded-space window.
+#[derive(Debug, Clone, Default)]
+pub struct Window(Option<Vec<BinId>>);
+
+impl Rule for Window {
+    const NAME: &'static str = "nextfit";
+
+    /// The tenant takes the whole window if it fits there; otherwise the
+    /// window closes for good and a fresh one opens.
+    fn choose(packer: &mut NextFit, tenant: &Tenant, size: f64) -> (Vec<BinId>, usize) {
+        let Baseline { placement, reserve, rule: Window(window), telemetry, .. } = packer;
+        let fits = window
+            .as_ref()
+            .is_some_and(|window| assignment_feasible(placement, window, size, *reserve, None));
+        telemetry.recorder.emit(|| TraceEvent::FitAttempt {
+            tenant: tenant.id().get(),
+            replica: 0,
+            scanned: window.as_ref().map_or(0, Vec::len),
+            opened_new: !fits,
+        });
+        let mut opened = 0;
+        if !fits {
+            for bin in window.take().unwrap_or_default() {
+                let level = placement.level(bin);
+                telemetry.recorder.emit(|| TraceEvent::BinClosed { bin: bin.index(), level });
+            }
+            opened = placement.gamma();
+            *window = Some((0..opened).map(|_| placement.open_bin(None)).collect());
+        }
+        (window.clone().expect("window exists after refresh"), opened)
+    }
+
+    /// A window server that fails or is drained by a migration closes the
+    /// window for good: bounded space never re-places into a bin a defrag
+    /// pass is emptying.
+    fn drain(&mut self, bins: &[BinId]) {
+        if self.0.as_ref().is_some_and(|window| window.iter().any(|b| bins.contains(b))) {
+            self.0 = None;
+        }
+    }
+}
 
 /// **Next Fit**: keeps only the current window of `γ` servers open; a
 /// tenant that does not fit in the window closes it and opens a fresh one.
 ///
 /// The classic bounded-space baseline — `O(1)` state and the weakest
-/// packing quality, bounding the other algorithms from below.
+/// packing quality, bounding the other algorithms from below. Removals
+/// and load updates leave the window put: bounded space never revisits
+/// closed bins, even freshly emptied ones.
 ///
 /// ```
 /// use cubefit_baselines::NextFit;
@@ -30,153 +72,23 @@ use cubefit_telemetry::{Recorder, TraceEvent};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone)]
-pub struct NextFit {
-    placement: Placement,
-    window: Option<Vec<BinId>>,
-    reserve: ReserveMode,
-    telemetry: BaselineTelemetry,
-}
+pub type NextFit = Baseline<Window>;
 
 impl NextFit {
     /// Creates a Next Fit packer with the full `γ − 1`-failure reserve.
     ///
     /// # Errors
     ///
-    /// Returns [`Error::InvalidReplication`] if `gamma < 2`.
+    /// Returns [`cubefit_core::Error::InvalidReplication`] if `gamma < 2`.
     pub fn new(gamma: usize) -> Result<Self> {
-        if gamma < 2 {
-            return Err(Error::InvalidReplication { gamma });
-        }
-        Ok(NextFit {
-            placement: Placement::new(gamma),
-            window: None,
-            reserve: ReserveMode::GammaMinusOne,
-            telemetry: BaselineTelemetry::default(),
-        })
-    }
-}
-
-impl Consolidator for NextFit {
-    fn place(&mut self, tenant: Tenant) -> Result<PlacementOutcome> {
-        if self.placement.tenant_bins(tenant.id()).is_some() {
-            return Err(Error::DuplicateTenant { tenant: tenant.id() });
-        }
-        let gamma = self.placement.gamma();
-        let size = tenant.replica_size(gamma);
-        self.telemetry.arrival(&tenant, self.placement.tenant_count());
-
-        let fits_window = self.window.as_ref().is_some_and(|window| {
-            assignment_feasible(&self.placement, window, size, self.reserve, None)
-        });
-        self.telemetry.recorder.emit(|| TraceEvent::FitAttempt {
-            tenant: tenant.id().get(),
-            replica: 0,
-            scanned: self.window.as_ref().map_or(0, Vec::len),
-            opened_new: !fits_window,
-        });
-        let mut opened = 0;
-        if !fits_window {
-            // Bounded space: the outgoing window is closed for good.
-            if let Some(old) = self.window.take() {
-                for bin in old {
-                    let level = self.placement.level(bin);
-                    self.telemetry
-                        .recorder
-                        .emit(|| TraceEvent::BinClosed { bin: bin.index(), level });
-                }
-            }
-            let fresh: Vec<BinId> = (0..gamma).map(|_| self.placement.open_bin(None)).collect();
-            opened = gamma;
-            self.window = Some(fresh);
-        }
-        let bins = self.window.clone().expect("window exists after refresh");
-        let pending = self.telemetry.pending_opens(&self.placement, &bins);
-        self.placement.place_tenant(&tenant, &bins)?;
-        self.telemetry.opened(&self.placement, &pending);
-        self.telemetry.placed(&tenant, &bins, opened);
-        Ok(PlacementOutcome { tenant: tenant.id(), bins, opened, stage: PlacementStage::Direct })
-    }
-
-    fn remove(&mut self, tenant: TenantId) -> Result<RemovalOutcome> {
-        // Next Fit keeps no derived index; the window stays put (bounded
-        // space never revisits closed bins, even freshly emptied ones).
-        let (load, bins) = self.placement.remove_tenant(tenant)?;
-        self.telemetry.recorder.emit(|| TraceEvent::TenantDeparted { tenant: tenant.get(), load });
-        Ok(RemovalOutcome { tenant, load, bins })
-    }
-
-    fn update_load(&mut self, tenant: TenantId, new_load: f64) -> Result<LoadUpdateOutcome> {
-        // No derived index to re-key; the window stays put.
-        let (old_load, bins) = self.placement.update_load(tenant, new_load)?;
-        Ok(LoadUpdateOutcome { tenant, old_load, new_load, bins })
-    }
-
-    /// Re-homes orphans scanning all bins in opening order (recovery is an
-    /// offline repair pass, exempt from the bounded-space window). A failed
-    /// window server closes the window for good.
-    fn recover(&mut self, failed: &[BinId]) -> Result<RecoveryReport> {
-        if self.window.as_ref().is_some_and(|w| w.iter().any(|b| failed.contains(b))) {
-            self.window = None;
-        }
-        let telemetry = &self.telemetry;
-        recovery::recover_replicas(
-            &mut self.placement,
-            failed,
-            |p, t, from, _| {
-                recovery::pick_target(p, t, from, failed, (0..p.created_bins()).map(BinId::new))
-            },
-            |_, tenant, from, to, replica| {
-                telemetry.recorder.emit(|| TraceEvent::ReplicaMigrated {
-                    tenant: tenant.get(),
-                    from: from.index(),
-                    to: to.index(),
-                    load: replica,
-                });
-            },
-        )
-    }
-
-    /// Applies a planned migration. Draining a window server closes the
-    /// window for good — bounded space never re-places into a bin a defrag
-    /// pass is emptying.
-    fn migrate(&mut self, tenant: TenantId, from: BinId, to: BinId) -> Result<()> {
-        let gamma = self.placement.gamma() as f64;
-        let load = self.placement.tenant_load(tenant).ok_or(Error::UnknownTenant { tenant })?;
-        if self.window.as_ref().is_some_and(|w| w.contains(&from)) {
-            self.window = None;
-        }
-        self.placement.move_replica(tenant, from, to)?;
-        self.telemetry.recorder.emit(|| TraceEvent::ReplicaMigrated {
-            tenant: tenant.get(),
-            from: from.index(),
-            to: to.index(),
-            load: load / gamma,
-        });
-        Ok(())
-    }
-
-    fn clone_box(&self) -> Box<dyn Consolidator> {
-        Box::new(self.clone())
-    }
-
-    fn placement(&self) -> &Placement {
-        &self.placement
-    }
-
-    fn name(&self) -> &'static str {
-        "nextfit"
-    }
-
-    fn set_recorder(&mut self, recorder: Recorder) {
-        self.telemetry = BaselineTelemetry::resolve(recorder, "nextfit", self.placement.gamma());
+        Baseline::with_rule(gamma, ReserveMode::GammaMinusOne, Window::default())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cubefit_core::{Load, TenantId};
+    use cubefit_core::{Consolidator, Load, TenantId};
 
     fn tenant(id: u64, load: f64) -> Tenant {
         Tenant::new(TenantId::new(id), Load::new(load).unwrap())

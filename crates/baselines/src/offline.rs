@@ -7,7 +7,6 @@
 //! than the volume bound lower-bounds it, which makes the pair useful for
 //! sandwiching empirical competitive ratios (see `cubefit-analysis`).
 
-use crate::common::ReserveMode;
 use crate::greedy::BestFit;
 use cubefit_core::{Consolidator, Placement, Result, Tenant};
 
@@ -18,22 +17,9 @@ use cubefit_core::{Consolidator, Placement, Result, Tenant};
 ///
 /// Propagates configuration and placement errors.
 pub fn best_fit_decreasing(tenants: &[Tenant], gamma: usize) -> Result<Placement> {
-    best_fit_decreasing_with_reserve(tenants, gamma, ReserveMode::GammaMinusOne)
-}
-
-/// [`best_fit_decreasing`] with an explicit [`ReserveMode`].
-///
-/// # Errors
-///
-/// Propagates configuration and placement errors.
-pub fn best_fit_decreasing_with_reserve(
-    tenants: &[Tenant],
-    gamma: usize,
-    reserve: ReserveMode,
-) -> Result<Placement> {
     let mut sorted: Vec<Tenant> = tenants.to_vec();
     sorted.sort_by(|a, b| b.load().get().total_cmp(&a.load().get()));
-    let mut packer = BestFit::with_reserve(gamma, reserve)?;
+    let mut packer = BestFit::new(gamma)?;
     for tenant in sorted {
         packer.place(tenant)?;
     }

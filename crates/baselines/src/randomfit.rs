@@ -1,161 +1,61 @@
 //! Random Fit: a randomized sanity-check baseline.
 
-use crate::common::{assignment_feasible, feasible, ReserveMode};
-use cubefit_core::algorithm::{LoadUpdateOutcome, RemovalOutcome};
-use cubefit_core::recovery::{self, RecoveryReport};
-use cubefit_core::{
-    BinId, Consolidator, Error, Placement, PlacementOutcome, PlacementStage, Result, Tenant,
-    TenantId,
-};
+use crate::common::ReserveMode;
+use crate::engine::{Baseline, Rule};
+use cubefit_core::bin_index::BinIndex;
+use cubefit_core::{BinId, Placement, Result};
 use rand::{Rng, SeedableRng};
 
+/// Random Fit's rule: [`RandomFit::PROBES`] uniformly random servers.
+#[derive(Debug, Clone)]
+pub struct Probes {
+    rng: rand_chacha::ChaCha8Rng,
+}
+
+impl Rule for Probes {
+    const NAME: &'static str = "randomfit";
+    const CHECKS_CHOSEN: bool = false;
+
+    fn candidates<'a>(
+        &'a mut self,
+        _: &'a BinIndex,
+        placement: &'a Placement,
+        _: f64,
+    ) -> impl Iterator<Item = BinId> + 'a {
+        let existing = placement.created_bins();
+        let probes = if existing == 0 { 0 } else { RandomFit::PROBES };
+        (0..probes).map(move |_| BinId::new(self.rng.gen_range(0..existing)))
+    }
+}
+
 /// **Random Fit**: each replica is placed on a uniformly random feasible
-/// server, probing up to a bounded number of candidates before opening a
-/// fresh server.
+/// server, probing up to [`RandomFit::PROBES`] candidates before opening a
+/// fresh server; recovery probes the same way.
 ///
 /// Deliberately unsophisticated — it provides a floor that any reasonable
 /// policy should beat, and doubles as a randomized robustness fuzzer (every
 /// placement it produces still honours the `γ − 1`-failure reserve).
-#[derive(Debug, Clone)]
-pub struct RandomFit {
-    placement: Placement,
-    rng: rand_chacha::ChaCha8Rng,
-    /// Random probes per replica before giving up and opening a server.
-    probes: usize,
-    fallbacks: usize,
-}
+pub type RandomFit = Baseline<Probes>;
 
 impl RandomFit {
-    /// Default number of random probes per replica.
-    pub const DEFAULT_PROBES: usize = 32;
+    /// Random probes per replica.
+    pub const PROBES: usize = 32;
 
     /// Creates a Random Fit packer with the given RNG seed.
     ///
     /// # Errors
     ///
-    /// Returns [`Error::InvalidReplication`] if `gamma < 2`.
+    /// Returns [`cubefit_core::Error::InvalidReplication`] if `gamma < 2`.
     pub fn new(gamma: usize, seed: u64) -> Result<Self> {
-        if gamma < 2 {
-            return Err(Error::InvalidReplication { gamma });
-        }
-        Ok(RandomFit {
-            placement: Placement::new(gamma),
-            rng: rand_chacha::ChaCha8Rng::seed_from_u64(seed),
-            probes: Self::DEFAULT_PROBES,
-            fallbacks: 0,
-        })
-    }
-
-    /// Overrides the probe budget per replica.
-    #[must_use]
-    pub fn with_probes(mut self, probes: usize) -> Self {
-        self.probes = probes.max(1);
-        self
-    }
-
-    /// How many tenants fell back to all-fresh servers.
-    #[must_use]
-    pub fn fallbacks(&self) -> usize {
-        self.fallbacks
-    }
-}
-
-impl Consolidator for RandomFit {
-    fn place(&mut self, tenant: Tenant) -> Result<PlacementOutcome> {
-        if self.placement.tenant_bins(tenant.id()).is_some() {
-            return Err(Error::DuplicateTenant { tenant: tenant.id() });
-        }
-        let gamma = self.placement.gamma();
-        let size = tenant.replica_size(gamma);
-        let reserve = ReserveMode::GammaMinusOne;
-
-        let mut chosen: Vec<BinId> = Vec::with_capacity(gamma);
-        let mut opened = 0;
-        for _ in 0..gamma {
-            let existing = self.placement.created_bins();
-            let mut picked = None;
-            if existing > 0 {
-                for _ in 0..self.probes {
-                    let bin = BinId::new(self.rng.gen_range(0..existing));
-                    if !chosen.contains(&bin)
-                        && feasible(&self.placement, bin, size, &chosen, reserve, None)
-                    {
-                        picked = Some(bin);
-                        break;
-                    }
-                }
-            }
-            match picked {
-                Some(bin) => chosen.push(bin),
-                None => {
-                    chosen.push(self.placement.open_bin(None));
-                    opened += 1;
-                }
-            }
-        }
-        if !assignment_feasible(&self.placement, &chosen, size, reserve, None) {
-            self.fallbacks += 1;
-            chosen = (0..gamma).map(|_| self.placement.open_bin(None)).collect();
-            opened = gamma;
-        }
-        self.placement.place_tenant(&tenant, &chosen)?;
-        Ok(PlacementOutcome {
-            tenant: tenant.id(),
-            bins: chosen,
-            opened,
-            stage: PlacementStage::Direct,
-        })
-    }
-
-    fn remove(&mut self, tenant: TenantId) -> Result<RemovalOutcome> {
-        let (load, bins) = self.placement.remove_tenant(tenant)?;
-        Ok(RemovalOutcome { tenant, load, bins })
-    }
-
-    fn update_load(&mut self, tenant: TenantId, new_load: f64) -> Result<LoadUpdateOutcome> {
-        let (old_load, bins) = self.placement.update_load(tenant, new_load)?;
-        Ok(LoadUpdateOutcome { tenant, old_load, new_load, bins })
-    }
-
-    /// Re-homes orphans onto randomly probed feasible survivors (same probe
-    /// budget as placement), opening a fresh server when every probe misses.
-    fn recover(&mut self, failed: &[BinId]) -> Result<RecoveryReport> {
-        let RandomFit { placement, rng, probes, .. } = self;
-        recovery::recover_replicas(
-            placement,
-            failed,
-            |p, t, from, _| {
-                let existing = p.created_bins();
-                (0..*probes)
-                    .map(|_| BinId::new(rng.gen_range(0..existing)))
-                    .find(|&bin| !failed.contains(&bin) && recovery::move_feasible(p, t, from, bin))
-            },
-            |_, _, _, _, _| {},
-        )
-    }
-
-    fn migrate(&mut self, tenant: TenantId, from: BinId, to: BinId) -> Result<()> {
-        // No derived index to re-key; the placement substrate does it all.
-        self.placement.move_replica(tenant, from, to)
-    }
-
-    fn clone_box(&self) -> Box<dyn Consolidator> {
-        Box::new(self.clone())
-    }
-
-    fn placement(&self) -> &Placement {
-        &self.placement
-    }
-
-    fn name(&self) -> &'static str {
-        "randomfit"
+        let rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+        Baseline::with_rule(gamma, ReserveMode::GammaMinusOne, Probes { rng })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cubefit_core::{Load, TenantId};
+    use cubefit_core::{Consolidator, Load, Tenant, TenantId};
 
     fn tenant(id: u64, load: f64) -> Tenant {
         Tenant::new(TenantId::new(id), Load::new(load).unwrap())
@@ -195,12 +95,6 @@ mod tests {
         }
         // 50 tiny tenants (total load 1.0) should not need 100 servers.
         assert!(rf.placement().open_bins() < 40);
-    }
-
-    #[test]
-    fn probe_budget_is_configurable() {
-        let rf = RandomFit::new(2, 0).unwrap().with_probes(0);
-        assert_eq!(rf.probes, 1);
     }
 
     #[test]

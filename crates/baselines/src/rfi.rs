@@ -1,16 +1,46 @@
 //! The RFI baseline (Schaffner et al., RTP — SIGMOD'13), as described in
 //! §V of the CubeFit paper.
 
-use crate::common::{assignment_feasible, extends_assignment, BaselineTelemetry, ReserveMode};
-use cubefit_core::algorithm::{LoadUpdateOutcome, RemovalOutcome};
-use cubefit_core::level_index::LevelIndex;
-use cubefit_core::recovery::{self, RecoveryReport};
-use cubefit_core::{
-    BinId, Consolidator, Error, Placement, PlacementOutcome, PlacementStage, Result, Tenant,
-    TenantId,
-};
-use cubefit_telemetry::{Recorder, TraceEvent};
-use std::cell::Cell;
+use crate::common::ReserveMode;
+use crate::engine::{Baseline, Rule};
+use cubefit_core::bin_index::BinIndex;
+use cubefit_core::{BinId, Error, Placement, Result};
+
+/// RFI's rule: servers keyed by *robust slack* `min(μ, 1 − maxShared) −
+/// level`, the largest replica a server can accept under both the
+/// interleaving cap and the single-failure reserve (before sibling
+/// adjustments). Scanning slack-ascending from the replica size yields the
+/// server with the least capacity left over after placement — the
+/// Best-Fit criterion of §V read against the failover-aware headroom — in
+/// a handful of probes instead of a scan over every reserve-saturated
+/// server.
+#[derive(Debug, Clone, Copy)]
+pub struct Tightest {
+    mu: f64,
+}
+
+impl Rule for Tightest {
+    const NAME: &'static str = "rfi";
+
+    fn key(&self, placement: &Placement, bin: BinId) -> Option<f64> {
+        let level = placement.level(bin);
+        let reserve = placement.top_shared_sum_with(bin, &[], 1);
+        Some((self.mu - level).min(1.0 - level - reserve).max(0.0))
+    }
+
+    fn candidates<'a>(
+        &'a mut self,
+        index: &'a BinIndex,
+        _: &'a Placement,
+        size: f64,
+    ) -> impl Iterator<Item = BinId> + 'a {
+        index.iter_asc_at_least(size)
+    }
+
+    fn fill_cap(&self) -> Option<f64> {
+        Some(self.mu)
+    }
+}
 
 /// **RFI**: replica-level Best Fit with a *single-failure* failover reserve
 /// and an interleaving cap `μ`.
@@ -41,22 +71,7 @@ use std::cell::Cell;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone)]
-pub struct Rfi {
-    placement: Placement,
-    /// Servers keyed by *robust slack* `min(μ, 1 − maxShared) − level`: the
-    /// largest replica a server can accept under both the interleaving cap
-    /// and the single-failure reserve (before sibling adjustments).
-    /// Scanning slack-ascending from the replica size yields the server
-    /// with the least capacity left over after placement — the Best-Fit
-    /// criterion of §V read against the failover-aware headroom — in a
-    /// handful of probes instead of a scan over every reserve-saturated
-    /// server.
-    index: LevelIndex,
-    mu: f64,
-    fallbacks: usize,
-    telemetry: BaselineTelemetry,
-}
+pub type Rfi = Baseline<Tightest>;
 
 impl Rfi {
     /// Creates an RFI packer with replication factor `gamma` and
@@ -67,243 +82,17 @@ impl Rfi {
     /// * [`Error::InvalidReplication`] if `gamma < 2`;
     /// * [`Error::InvalidMu`] if `mu` is not in `(0, 1]`.
     pub fn new(gamma: usize, mu: f64) -> Result<Self> {
-        if gamma < 2 {
-            return Err(Error::InvalidReplication { gamma });
-        }
+        let rfi = Baseline::with_rule(gamma, ReserveMode::SingleFailure, Tightest { mu })?;
         if !(mu.is_finite() && mu > 0.0 && mu <= 1.0) {
             return Err(Error::InvalidMu { mu });
         }
-        Ok(Rfi {
-            placement: Placement::new(gamma),
-            index: LevelIndex::new(),
-            mu,
-            fallbacks: 0,
-            telemetry: BaselineTelemetry::default(),
-        })
+        Ok(rfi)
     }
 
     /// The interleaving parameter `μ`.
     #[must_use]
     pub fn mu(&self) -> f64 {
-        self.mu
-    }
-
-    /// How many tenants required the all-fresh-servers fallback (whole
-    /// assignments that turned infeasible after sibling placement).
-    #[must_use]
-    pub fn fallbacks(&self) -> usize {
-        self.fallbacks
-    }
-
-    /// Robust slack of `bin` (the index key).
-    fn slack(&self, bin: BinId) -> f64 {
-        let level = self.placement.level(bin);
-        let reserve = self.placement.top_shared_sum_with(bin, &[], 1);
-        (self.mu - level).min(1.0 - level - reserve).max(0.0)
-    }
-
-    fn open(&mut self) -> BinId {
-        let bin = self.placement.open_bin(None);
-        self.index.insert(bin, self.slack(bin));
-        bin
-    }
-
-    /// The current slack keys of `bins`, captured before a mutation so the
-    /// index entries can be moved to their new keys afterwards.
-    fn old_slacks(&self, bins: &[BinId]) -> Vec<(BinId, f64)> {
-        bins.iter().map(|&b| (b, self.slack(b))).collect()
-    }
-
-    /// Moves each bin's index entry from its captured key to its current
-    /// slack.
-    fn rekey(&mut self, old: Vec<(BinId, f64)>) {
-        for (bin, old_slack) in old {
-            self.index.update(bin, old_slack, self.slack(bin));
-        }
-    }
-}
-
-impl Consolidator for Rfi {
-    fn place(&mut self, tenant: Tenant) -> Result<PlacementOutcome> {
-        if self.placement.tenant_bins(tenant.id()).is_some() {
-            return Err(Error::DuplicateTenant { tenant: tenant.id() });
-        }
-        let gamma = self.placement.gamma();
-        let size = tenant.replica_size(gamma);
-        self.telemetry.arrival(&tenant, self.placement.tenant_count());
-
-        let mut chosen: Vec<BinId> = Vec::with_capacity(gamma);
-        let mut opened = 0;
-        for replica in 0..gamma {
-            // Tightest feasible server first: every candidate the slack
-            // range yields already satisfies the μ cap and the reserve
-            // (modulo sibling adjustments, which the check below adds).
-            let scanned = Cell::new(0_usize);
-            let candidate = self.index.iter_asc_at_least(size).find(|&bin| {
-                scanned.set(scanned.get() + 1);
-                !chosen.contains(&bin)
-                    && extends_assignment(
-                        &self.placement,
-                        &chosen,
-                        bin,
-                        size,
-                        ReserveMode::SingleFailure,
-                        Some(self.mu),
-                    )
-            });
-            self.telemetry.recorder.emit(|| TraceEvent::FitAttempt {
-                tenant: tenant.id().get(),
-                replica,
-                scanned: scanned.get(),
-                opened_new: candidate.is_none(),
-            });
-            match candidate {
-                Some(bin) => chosen.push(bin),
-                None => {
-                    chosen.push(self.open());
-                    opened += 1;
-                }
-            }
-        }
-        // Fresh servers are exempt from μ (a replica must land somewhere);
-        // validate only the capacity/reserve condition for the whole set.
-        if !assignment_feasible(&self.placement, &chosen, size, ReserveMode::SingleFailure, None) {
-            self.fallbacks += 1;
-            self.telemetry.fallbacks.inc();
-            chosen = (0..gamma).map(|_| self.open()).collect();
-            opened = gamma;
-        }
-        let pending = self.telemetry.pending_opens(&self.placement, &chosen);
-        let old = self.old_slacks(&chosen);
-        self.placement.place_tenant(&tenant, &chosen)?;
-        self.rekey(old);
-        self.telemetry.opened(&self.placement, &pending);
-        self.telemetry.placed(&tenant, &chosen, opened);
-        Ok(PlacementOutcome {
-            tenant: tenant.id(),
-            bins: chosen,
-            opened,
-            stage: PlacementStage::Direct,
-        })
-    }
-
-    fn remove(&mut self, tenant: TenantId) -> Result<RemovalOutcome> {
-        // Removal shrinks the levels of exactly the tenant's bins, and the
-        // shared loads of exactly the pairs among them — no other bin's
-        // slack key moves, so only these keys are refreshed.
-        let touched: Vec<BinId> =
-            self.placement.tenant_bins(tenant).ok_or(Error::UnknownTenant { tenant })?.to_vec();
-        let old = self.old_slacks(&touched);
-        let (load, bins) = self.placement.remove_tenant(tenant)?;
-        self.rekey(old);
-        self.telemetry.recorder.emit(|| TraceEvent::TenantDeparted { tenant: tenant.get(), load });
-        Ok(RemovalOutcome { tenant, load, bins })
-    }
-
-    fn update_load(&mut self, tenant: TenantId, new_load: f64) -> Result<LoadUpdateOutcome> {
-        // A load change has the same re-key footprint as a removal: the
-        // tenant's bins shift level, and only pairs among them shift shared
-        // load, so only those slack keys are refreshed.
-        let touched: Vec<BinId> =
-            self.placement.tenant_bins(tenant).ok_or(Error::UnknownTenant { tenant })?.to_vec();
-        let old = self.old_slacks(&touched);
-        let (old_load, bins) = self.placement.update_load(tenant, new_load)?;
-        self.rekey(old);
-        Ok(LoadUpdateOutcome { tenant, old_load, new_load, bins })
-    }
-
-    fn place_batch(&mut self, tenants: Vec<Tenant>) -> Result<Vec<PlacementOutcome>> {
-        // Placement decisions query the reserve per replica, so the loop
-        // stays sequential; the batch only amortizes table growth.
-        self.placement.reserve_tenants(tenants.len());
-        tenants.into_iter().map(|tenant| self.place(tenant)).collect()
-    }
-
-    /// Re-homes orphaned replicas tightest-feasible-first through the full
-    /// `γ − 1` move predicate — stricter than RFI's single-failure
-    /// placement reserve, so recovery never weakens whatever robustness the
-    /// placement had (and for `γ = 2` the two predicates coincide).
-    fn recover(&mut self, failed: &[BinId]) -> Result<RecoveryReport> {
-        let orphan_list = recovery::orphans(&self.placement, failed);
-        let mut report = RecoveryReport::default();
-        let mut affected: Vec<TenantId> = Vec::new();
-        let gamma = self.placement.gamma() as f64;
-        for (tenant, from) in orphan_list {
-            if !affected.contains(&tenant) {
-                affected.push(tenant);
-            }
-            let load = self.placement.tenant_load(tenant).expect("orphaned tenants are placed");
-            let replica = load / gamma;
-            let candidates: Vec<BinId> = self.index.iter_asc_at_least(replica).collect();
-            let target = recovery::pick_target(&self.placement, tenant, from, failed, candidates);
-            let to = match target {
-                Some(bin) => bin,
-                None => {
-                    report.bins_opened += 1;
-                    self.open()
-                }
-            };
-            // The move shifts the levels of `from`/`to` and the shared
-            // loads between them and every sibling; re-key all of them.
-            let mut touched: Vec<BinId> =
-                self.placement.tenant_bins(tenant).expect("still placed").to_vec();
-            touched.push(from);
-            touched.push(to);
-            touched.sort_unstable();
-            touched.dedup();
-            let old = self.old_slacks(&touched);
-            self.placement.move_replica(tenant, from, to)?;
-            self.rekey(old);
-            report.replicas_migrated += 1;
-            report.moved_load += replica;
-            self.telemetry.recorder.emit(|| TraceEvent::ReplicaMigrated {
-                tenant: tenant.get(),
-                from: from.index(),
-                to: to.index(),
-                load: replica,
-            });
-        }
-        report.tenants_affected = affected.len();
-        Ok(report)
-    }
-
-    fn migrate(&mut self, tenant: TenantId, from: BinId, to: BinId) -> Result<()> {
-        let gamma = self.placement.gamma() as f64;
-        let load = self.placement.tenant_load(tenant).ok_or(Error::UnknownTenant { tenant })?;
-        // Same re-key footprint as a recovery move: the endpoints' levels
-        // change plus the shared loads between them and every sibling.
-        let mut touched: Vec<BinId> =
-            self.placement.tenant_bins(tenant).expect("just looked up").to_vec();
-        touched.push(from);
-        touched.push(to);
-        touched.sort_unstable();
-        touched.dedup();
-        let old = self.old_slacks(&touched);
-        self.placement.move_replica(tenant, from, to)?;
-        self.rekey(old);
-        self.telemetry.recorder.emit(|| TraceEvent::ReplicaMigrated {
-            tenant: tenant.get(),
-            from: from.index(),
-            to: to.index(),
-            load: load / gamma,
-        });
-        Ok(())
-    }
-
-    fn clone_box(&self) -> Box<dyn Consolidator> {
-        Box::new(self.clone())
-    }
-
-    fn placement(&self) -> &Placement {
-        &self.placement
-    }
-
-    fn name(&self) -> &'static str {
-        "rfi"
-    }
-
-    fn set_recorder(&mut self, recorder: Recorder) {
-        self.telemetry = BaselineTelemetry::resolve(recorder, "rfi", self.placement.gamma());
+        self.rule.mu
     }
 }
 
@@ -311,7 +100,7 @@ impl Consolidator for Rfi {
 mod tests {
     use super::*;
     use cubefit_core::validity::{self, FailoverSemantics};
-    use cubefit_core::{Load, TenantId};
+    use cubefit_core::{Consolidator, Load, Tenant, TenantId};
 
     fn tenant(id: u64, load: f64) -> Tenant {
         Tenant::new(TenantId::new(id), Load::new(load).unwrap())
@@ -431,7 +220,7 @@ mod tests {
         assert!(p.bin(BinId::new(6)).is_empty(), "abandoned bin must stay empty");
         // The abandoned bin stays in the index at full fresh slack, so
         // later tenants can still use it.
-        assert!(rfi.index.contains(BinId::new(6), 0.85));
+        assert_eq!(rfi.index.key(BinId::new(6)), Some(0.85));
         // PR-1 invariant: the trace's BinOpened count equals the final
         // open-server count — abandoned bins never emit BinOpened.
         let events = sink.events();
@@ -455,8 +244,9 @@ mod tests {
         }
         // Every slack key in the index must match a fresh recomputation.
         for bin in rfi.placement().bins() {
-            assert!(
-                rfi.index.contains(bin.id(), rfi.slack(bin.id())),
+            assert_eq!(
+                rfi.index.key(bin.id()),
+                rfi.rule.key(rfi.placement(), bin.id()),
                 "stale slack key for {}",
                 bin.id()
             );
@@ -485,7 +275,7 @@ mod tests {
         assert!(rfi.placement().is_robust());
         assert!(cubefit_core::oracle::audit(rfi.placement()).is_ok());
         for bin in rfi.placement().bins() {
-            assert!(rfi.index.contains(bin.id(), rfi.slack(bin.id())));
+            assert_eq!(rfi.index.key(bin.id()), rfi.rule.key(rfi.placement(), bin.id()));
         }
     }
 

@@ -1,7 +1,7 @@
 //! Latency recording and percentile reports.
 //!
 //! Recording is backed by the workspace-wide log-bucketed
-//! [`Histogram`](cubefit_telemetry::Histogram): constant memory regardless
+//! [`Histogram`]: constant memory regardless
 //! of simulation length, exact count/sum/min/max, and quantiles within
 //! ≈2.2% relative error — far inside the slack of every latency assertion
 //! in the DES (the SLA threshold itself is a 5 s cliff).

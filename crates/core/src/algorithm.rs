@@ -272,7 +272,8 @@ mod tests {
             crate::recovery::recover_replicas(
                 &mut self.placement,
                 failed,
-                |p, t, from, _| {
+                (),
+                |_, p, t, from, _| {
                     crate::recovery::pick_target(
                         p,
                         t,
@@ -281,7 +282,7 @@ mod tests {
                         (0..p.created_bins()).map(BinId::new),
                     )
                 },
-                |_, _, _, _, _| {},
+                |_, _, _, _, _, _| {},
             )
         }
 

@@ -4,11 +4,12 @@ use crate::algorithm::{
     Consolidator, LoadUpdateOutcome, PlacementOutcome, PlacementStage, RemovalOutcome,
 };
 use crate::bin::BinId;
+use crate::bin_index::BinIndex;
 use crate::class::Classifier;
 use crate::config::CubeFitConfig;
 use crate::cube::{ClassGroups, SlotTarget};
 use crate::error::{Error, Result};
-use crate::mfit::{self, MatureSet};
+use crate::mfit;
 use crate::multireplica::MultiReplicaState;
 use crate::placement::Placement;
 use crate::recovery::{self, RecoveryReport};
@@ -57,7 +58,7 @@ pub struct CubeFit {
     groups: BTreeMap<usize, ClassGroups>,
     /// Stage-2 payload slots occupied, per bin.
     slots_filled: Vec<usize>,
-    mature: MatureSet,
+    mature: BinIndex,
     multi: MultiReplicaState,
     /// Which path placed each live tenant, so a departure knows what to
     /// reclaim (cube tenants release their whole cell to the free list).
@@ -135,7 +136,7 @@ impl CubeFit {
             placement: Placement::new(config.gamma()),
             groups: BTreeMap::new(),
             slots_filled: Vec::new(),
-            mature: MatureSet::default(),
+            mature: BinIndex::default(),
             multi: MultiReplicaState::new(cap),
             placed_via: HashMap::new(),
             free_cells: BTreeMap::new(),
@@ -230,12 +231,6 @@ impl CubeFit {
         })
     }
 
-    /// The robust slack of `bin`: the guest headroom the mature set keys
-    /// by.
-    fn slack(&self, bin: BinId) -> f64 {
-        1.0 - self.placement.level(bin) - self.placement.worst_failover(bin)
-    }
-
     /// Commits a tenant to its bins, keeping the mature-set slack keys
     /// consistent (placement changes both the levels and the shared loads
     /// of exactly these bins).
@@ -253,7 +248,7 @@ impl CubeFit {
         };
         self.placement.place_tenant(tenant, bins)?;
         for &bin in bins {
-            self.mature.update_slack(bin, self.slack(bin));
+            self.mature.update(bin, slack(&self.placement, bin));
         }
         if !newly_opened.is_empty() {
             self.instruments.bins_opened.add(newly_opened.len() as u64);
@@ -326,7 +321,7 @@ impl CubeFit {
             if self.slots_filled[index] == self.classifier.payload_slots(class)
                 && !self.mature.contains(target.bin)
             {
-                self.mature.insert(target.bin, self.slack(target.bin));
+                self.mature.insert(target.bin, slack(&self.placement, target.bin));
             }
         }
     }
@@ -363,7 +358,7 @@ impl CubeFit {
                 if self.slots_filled[index] == self.classifier.payload_slots(class)
                     && !self.mature.contains(bin)
                 {
-                    self.mature.insert(bin, self.slack(bin));
+                    self.mature.insert(bin, slack(&self.placement, bin));
                 }
             }
         }
@@ -512,7 +507,7 @@ impl Consolidator for CubeFit {
         let via = self.placed_via.remove(&tenant).unwrap_or(PlacedVia::MatureFit);
         // Removal shrinks levels and shared loads of exactly these bins.
         for &bin in &bins {
-            self.mature.update_slack(bin, self.slack(bin));
+            self.mature.update(bin, slack(&self.placement, bin));
         }
         if let PlacedVia::Cube(tau) = via {
             // The vacated cell (the tenant's bins at departure time, which
@@ -544,7 +539,7 @@ impl Consolidator for CubeFit {
         // The drift changes exactly these bins' levels and the shared loads
         // among them; their mature slack keys must follow.
         for &bin in &bins {
-            self.mature.update_slack(bin, self.slack(bin));
+            self.mature.update(bin, slack(&self.placement, bin));
         }
         if new_load > old_load {
             // Upward drift inflates replica sizes beyond what the cube's
@@ -566,55 +561,32 @@ impl Consolidator for CubeFit {
     }
 
     fn recover(&mut self, failed: &[BinId]) -> Result<RecoveryReport> {
-        let orphan_list = recovery::orphans(&self.placement, failed);
-        let mut report = RecoveryReport::default();
-        let mut affected: Vec<TenantId> = Vec::new();
-        let gamma = self.config.gamma() as f64;
-        for (tenant, from) in orphan_list {
-            if !affected.contains(&tenant) {
-                affected.push(tenant);
-            }
-            let load = self.placement.tenant_load(tenant).expect("orphaned tenants are placed");
-            let replica = load / gamma;
-            // Re-home through the stage-1 host set: mature bins, tightest
-            // feasible first, skipping the active multi-replica's hosts
-            // (whose pending growth the move predicate does not price in).
-            let growth_hosts = self.multi.active_hosts();
-            let target = recovery::pick_target(
-                &self.placement,
-                tenant,
-                from,
-                failed,
-                self.mature
-                    .iter_fitting(replica)
+        let CubeFit { placement, mature, multi, instruments, .. } = self;
+        // Re-home through the stage-1 host set: mature bins, tightest
+        // feasible first, skipping the active multi-replica's hosts (whose
+        // pending growth the move predicate does not price in).
+        let growth_hosts = multi.active_hosts();
+        let report = recovery::recover_replicas(
+            placement,
+            failed,
+            mature,
+            |mature, p, tenant, from, replica| {
+                let candidates = mature
+                    .iter_asc_at_least(replica)
                     .filter(|bin| !growth_hosts.contains(bin))
-                    .take(mfit::SCAN_LIMIT),
-            );
-            let to = match target {
-                Some(bin) => bin,
-                None => {
-                    report.bins_opened += 1;
-                    self.placement.open_bin(None)
-                }
-            };
-            self.placement.move_replica(tenant, from, to)?;
-            report.replicas_migrated += 1;
-            report.moved_load += replica;
-            // The move changes the source's and target's levels plus the
-            // shared loads of every sibling; re-key them all.
-            self.mature.update_slack(from, self.slack(from));
-            let bins: Vec<BinId> =
-                self.placement.tenant_bins(tenant).expect("still placed").to_vec();
-            for bin in bins {
-                self.mature.update_slack(bin, self.slack(bin));
-            }
-            self.instruments.recorder.emit(|| TraceEvent::ReplicaMigrated {
-                tenant: tenant.get(),
-                from: from.index(),
-                to: to.index(),
-                load: replica,
-            });
-        }
+                    .take(mfit::SCAN_LIMIT);
+                recovery::pick_target(p, tenant, from, failed, candidates)
+            },
+            |mature, p, tenant, from, to, replica| {
+                rekey_move(mature, p, tenant, from);
+                instruments.recorder.emit(|| TraceEvent::ReplicaMigrated {
+                    tenant: tenant.get(),
+                    from: from.index(),
+                    to: to.index(),
+                    load: replica,
+                });
+            },
+        )?;
         if report.replicas_migrated > 0 {
             // The moves above re-pointed shared loads outside cube cells:
             // stage 2 must predicate-check every tuple from now on, and the
@@ -623,7 +595,6 @@ impl Consolidator for CubeFit {
             self.cube_perturbed = true;
             self.multi.seal_active();
         }
-        report.tenants_affected = affected.len();
         Ok(report)
     }
 
@@ -632,13 +603,7 @@ impl Consolidator for CubeFit {
         let load = self.placement.tenant_load(tenant).ok_or(Error::UnknownTenant { tenant })?;
         let replica = load / gamma;
         self.placement.move_replica(tenant, from, to)?;
-        // Same re-key footprint as a recovery move: the source's and
-        // target's levels change plus the shared loads of every sibling.
-        self.mature.update_slack(from, self.slack(from));
-        let bins: Vec<BinId> = self.placement.tenant_bins(tenant).expect("still placed").to_vec();
-        for bin in bins {
-            self.mature.update_slack(bin, self.slack(bin));
-        }
+        rekey_move(&mut self.mature, &self.placement, tenant, from);
         self.instruments.recorder.emit(|| TraceEvent::ReplicaMigrated {
             tenant: tenant.get(),
             from: from.index(),
@@ -689,6 +654,21 @@ impl Consolidator for CubeFit {
             bins_opened: recorder.counter("bins_opened", &base),
             recorder,
         };
+    }
+}
+
+/// The robust slack of `bin`: the guest headroom the mature set keys by.
+fn slack(placement: &Placement, bin: BinId) -> f64 {
+    1.0 - placement.level(bin) - placement.worst_failover(bin)
+}
+
+/// Re-keys the mature bins a move of `tenant`'s replica off `from`
+/// touched: the source's and target's levels change, plus the shared loads
+/// between the target and every sibling.
+fn rekey_move(mature: &mut BinIndex, placement: &Placement, tenant: TenantId, from: BinId) {
+    mature.update(from, slack(placement, from));
+    for &bin in placement.tenant_bins(tenant).expect("still placed") {
+        mature.update(bin, slack(placement, bin));
     }
 }
 

@@ -20,9 +20,14 @@
 //! * the [`CubeFit`] consolidator itself: size classes, mature-bin *m-fit*
 //!   placement (stage 1), cube-addressed slot placement (stage 2), and
 //!   multi-replica aggregation for tiny tenants;
-//! * the [`Consolidator`] trait that baselines (see `cubefit-baselines`)
-//!   implement so that experiment harnesses can drive any algorithm
-//!   uniformly;
+//! * the [`Consolidator`] trait, which the baselines' one engine (see
+//!   `cubefit-baselines`) implements too, so that experiment harnesses can
+//!   drive any algorithm uniformly;
+//! * what the algorithms share beneath the trait: the keyed
+//!   [`bin_index::BinIndex`] behind every ordered bin scan (CubeFit's
+//!   mature set by slack, the baselines' level and slack orders) and the
+//!   [`recovery`] driver every algorithm re-homes orphaned replicas
+//!   through;
 //! * the differential audit [`oracle`]: a from-scratch reference
 //!   recomputation of levels, shared loads and failover reserves, plus
 //!   [`AuditedConsolidator`], which cross-checks any algorithm's
@@ -55,13 +60,13 @@
 pub mod algorithm;
 pub mod atomic_io;
 pub mod bin;
+pub mod bin_index;
 pub mod class;
 pub mod config;
 pub mod cube;
 pub mod cubefit;
 pub mod dump;
 pub mod error;
-pub mod level_index;
 pub mod load;
 pub mod mfit;
 pub mod monitor;

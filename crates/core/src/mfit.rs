@@ -8,15 +8,15 @@
 //! to stage 2. Best Fit here selects the *tightest* robustly fitting bin —
 //! the bin whose remaining robust slack exceeds the replica by the least —
 //! which coincides with the paper's highest-level rule among bins of equal
-//! reserve and scales to data-center bin counts (see [`MatureSet`]).
+//! reserve and scales to data-center bin counts (see [`BinIndex`]).
 
 use crate::bin::BinId;
+use crate::bin_index::BinIndex;
 use crate::class::ReplicaClass;
 use crate::config::Stage1Eligibility;
 use crate::placement::Placement;
 use crate::smallbuf::SmallBuf;
 use crate::EPSILON;
-use std::collections::BTreeSet;
 
 /// Most mature-bin candidates a stage-1 Best-Fit scan inspects per
 /// replica. The bound keeps placement `O(1)` amortized at data-center
@@ -91,58 +91,6 @@ pub fn m_fits_with_growth(
     level + size + failover <= 1.0 + EPSILON
 }
 
-/// The set of mature bins, keyed by their **robust slack**
-/// `max(0, 1 − level − worst_failover)` — the largest guest replica the bin
-/// could accept without violating its reserve (ignoring the guest's own
-/// sibling contribution, which the m-fit check adds per candidate).
-///
-/// Scanning bins with `slack ≥ size` in ascending order yields tightest
-/// feasible fits first — the Best-Fit criterion generalized to
-/// reserve-gated feasibility — and never wastes the scan budget on
-/// saturated bins, which a plain level ordering does once thousands of
-/// full-but-reserved bins pile up at the top.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct MatureSet {
-    /// `(slack_bits, bin)` — slacks are clamped non-negative so the
-    /// IEEE-754 bit pattern orders identically to the float value.
-    by_slack: BTreeSet<(u64, BinId)>,
-    slack_of: std::collections::HashMap<BinId, f64>,
-}
-
-impl MatureSet {
-    fn key(slack: f64) -> u64 {
-        slack.max(0.0).to_bits()
-    }
-
-    /// Adds `bin` with the given robust slack.
-    pub(crate) fn insert(&mut self, bin: BinId, slack: f64) {
-        let clamped = slack.max(0.0);
-        self.by_slack.insert((Self::key(clamped), bin));
-        self.slack_of.insert(bin, clamped);
-    }
-
-    /// Re-keys `bin` after its slack changed; no-op for untracked bins.
-    pub(crate) fn update_slack(&mut self, bin: BinId, new_slack: f64) {
-        if let Some(old) = self.slack_of.get(&bin).copied() {
-            self.by_slack.remove(&(Self::key(old), bin));
-            self.insert(bin, new_slack);
-        }
-    }
-
-    pub(crate) fn contains(&self, bin: BinId) -> bool {
-        self.slack_of.contains_key(&bin)
-    }
-
-    pub(crate) fn len(&self) -> usize {
-        self.by_slack.len()
-    }
-
-    /// Bins with slack at least `min_slack`, tightest first.
-    pub(crate) fn iter_fitting(&self, min_slack: f64) -> impl Iterator<Item = BinId> + '_ {
-        self.by_slack.range((Self::key(min_slack), BinId::new(0))..).map(|&(_, bin)| bin)
-    }
-}
-
 /// What a stage-1 attempt did: the chosen bins (if any) and how much scan
 /// work it cost, for decision tracing.
 #[derive(Debug, Clone, Default)]
@@ -163,7 +111,7 @@ pub(crate) struct Stage1Scan {
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn try_stage1(
     placement: &Placement,
-    mature: &MatureSet,
+    mature: &BinIndex,
     eligibility: Stage1Eligibility,
     class: ReplicaClass,
     size: f64,
@@ -174,7 +122,7 @@ pub(crate) fn try_stage1(
     let mut scanned = 0usize;
     let mut chosen: Vec<BinId> = Vec::with_capacity(gamma);
     for _ in 0..gamma {
-        let candidate = mature.iter_fitting(size).take(SCAN_LIMIT).find(|&bin| {
+        let candidate = mature.iter_asc_at_least(size).take(SCAN_LIMIT).find(|&bin| {
             scanned += 1;
             if chosen.contains(&bin) {
                 return false;
@@ -228,12 +176,12 @@ mod tests {
 
     /// Two mature class-1 bins each holding one 0.35 replica of the same
     /// tenant (γ=2), mirroring a post-stage-2 state.
-    fn mature_pair() -> (Placement, MatureSet, Vec<BinId>) {
+    fn mature_pair() -> (Placement, BinIndex, Vec<BinId>) {
         let mut p = Placement::new(2);
         let b1 = p.open_bin(Some(ReplicaClass::new(1)));
         let b2 = p.open_bin(Some(ReplicaClass::new(1)));
         p.place_tenant(&tenant(0, 0.7), &[b1, b2]).unwrap();
-        let mut mature = MatureSet::default();
+        let mut mature = BinIndex::default();
         mature.insert(b1, 1.0 - p.level(b1) - p.worst_failover(b1));
         mature.insert(b2, 1.0 - p.level(b2) - p.worst_failover(b2));
         (p, mature, vec![b1, b2])
@@ -342,7 +290,7 @@ mod tests {
         let bins: Vec<BinId> = (0..4).map(|_| p.open_bin(Some(ReplicaClass::new(1)))).collect();
         p.place_tenant(&tenant(0, 0.70), &[bins[0], bins[1]]).unwrap();
         p.place_tenant(&tenant(1, 0.72), &[bins[2], bins[3]]).unwrap();
-        let mut mature = MatureSet::default();
+        let mut mature = BinIndex::default();
         for &b in &bins {
             mature.insert(b, 1.0 - p.level(b) - p.worst_failover(b));
         }
@@ -361,29 +309,6 @@ mod tests {
         let mut sorted = chosen.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, vec![bins[2], bins[3]]);
-    }
-
-    #[test]
-    fn mature_set_orders_by_slack_and_updates() {
-        let mut mature = MatureSet::default();
-        let (a, b) = (BinId::new(0), BinId::new(1));
-        mature.insert(a, 0.5);
-        mature.insert(b, 0.4);
-        // Tightest (smallest slack ≥ request) first.
-        assert_eq!(mature.iter_fitting(0.1).next(), Some(b));
-        // Requests above a bin's slack skip it.
-        assert_eq!(mature.iter_fitting(0.45).next(), Some(a));
-        assert!(mature.iter_fitting(0.6).next().is_none());
-        mature.update_slack(b, 0.7);
-        assert_eq!(mature.iter_fitting(0.6).next(), Some(b));
-        assert!(mature.contains(a));
-        assert_eq!(mature.len(), 2);
-        // Negative slacks clamp to zero and drop out of positive queries.
-        mature.update_slack(a, -0.2);
-        assert!(mature.iter_fitting(0.01).next() != Some(a));
-        // Updating an untracked bin is a no-op.
-        mature.update_slack(BinId::new(9), 0.3);
-        assert_eq!(mature.len(), 2);
     }
 
     #[test]
@@ -442,7 +367,7 @@ mod tests {
     #[test]
     fn stage1_fails_with_no_mature_bins() {
         let p = Placement::new(2);
-        let mature = MatureSet::default();
+        let mature = BinIndex::default();
         assert!(try_stage1(
             &p,
             &mature,

@@ -2,7 +2,7 @@
 //! consolidator wrapper that cross-checks every incremental decision.
 //!
 //! The fast path of every algorithm in this workspace rests on the
-//! incremental bookkeeping of [`crate::shared::SharedIndex`] — per-bin
+//! incremental bookkeeping of [`crate::shared`] — per-bin
 //! levels, the pairwise shared-load matrix, and cached top-`γ−1` failover
 //! reserves. A bug there (e.g. a truncated adjustment buffer at large `γ`)
 //! does not crash; it silently accepts a placement that violates
@@ -759,7 +759,8 @@ mod tests {
             crate::recovery::recover_replicas(
                 &mut self.0,
                 failed,
-                |p, t, from, _| {
+                (),
+                |_, p, t, from, _| {
                     crate::recovery::pick_target(
                         p,
                         t,
@@ -768,7 +769,7 @@ mod tests {
                         (0..p.created_bins()).map(BinId::new),
                     )
                 },
-                |_, _, _, _, _| {},
+                |_, _, _, _, _, _| {},
             )
         }
         fn update_load(&mut self, tenant: TenantId, new_load: f64) -> Result<LoadUpdateOutcome> {

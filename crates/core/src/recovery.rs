@@ -10,11 +10,12 @@
 //!
 //! The module provides the algorithm-independent pieces: enumerating
 //! orphans ([`orphans`]), the conservative per-move feasibility predicate
-//! ([`move_feasible`]), candidate selection ([`pick_target`]) and a
+//! ([`move_feasible`]), candidate selection ([`pick_target`]) and the
 //! sequential driver ([`recover_replicas`]) that applies moves via
-//! [`Placement::move_replica`] and tallies the [`RecoveryReport`].
-//! Algorithms with derived indexes call the driver with hooks that re-key
-//! exactly the bins each move touches.
+//! [`Placement::move_replica`] and tallies the [`RecoveryReport`]. Every
+//! algorithm recovers through the driver, passing its derived index as
+//! the context both hooks receive: one hook scans it for a target, the
+//! other re-keys exactly the bins each move touched.
 //!
 //! [`move_feasible`] is conservative in one deliberate way: it ignores the
 //! shared load the source (failed) bin still carries in the matrix at check
@@ -121,18 +122,21 @@ where
 /// `pick` chooses a surviving target for `(tenant, from, replica_size)` —
 /// typically via [`pick_target`] over an algorithm-specific candidate
 /// order — or returns `None` to open a fresh bin. `after_move` runs after
-/// each applied move with `(placement, tenant, from, to, replica_size)` so
-/// callers can re-key derived indexes for exactly the affected bins and
-/// emit per-move telemetry.
+/// each applied move with `(tenant, from, to, replica_size)` so callers
+/// can re-key derived indexes for exactly the affected bins and emit
+/// per-move telemetry. Both hooks receive `context` (the algorithm's
+/// derived state, such as its bin index) mutably, one call at a time,
+/// along with the current placement.
 ///
 /// # Errors
 ///
 /// Propagates [`Placement::move_replica`] invariant violations.
-pub fn recover_replicas(
+pub fn recover_replicas<C>(
     placement: &mut Placement,
     failed: &[BinId],
-    mut pick: impl FnMut(&Placement, TenantId, BinId, f64) -> Option<BinId>,
-    mut after_move: impl FnMut(&Placement, TenantId, BinId, BinId, f64),
+    mut context: C,
+    mut pick: impl FnMut(&mut C, &Placement, TenantId, BinId, f64) -> Option<BinId>,
+    mut after_move: impl FnMut(&mut C, &Placement, TenantId, BinId, BinId, f64),
 ) -> Result<RecoveryReport> {
     let orphan_list = orphans(placement, failed);
     let mut report = RecoveryReport::default();
@@ -143,7 +147,7 @@ pub fn recover_replicas(
         }
         let load = placement.tenant_load(tenant).expect("orphaned tenants are placed");
         let replica = load / placement.gamma() as f64;
-        let to = match pick(placement, tenant, from, replica) {
+        let to = match pick(&mut context, placement, tenant, from, replica) {
             Some(bin) => bin,
             None => {
                 report.bins_opened += 1;
@@ -153,7 +157,7 @@ pub fn recover_replicas(
         placement.move_replica(tenant, from, to)?;
         report.replicas_migrated += 1;
         report.moved_load += replica;
-        after_move(placement, tenant, from, to, replica);
+        after_move(&mut context, placement, tenant, from, to, replica);
     }
     report.tenants_affected = affected.len();
     Ok(report)
@@ -216,8 +220,9 @@ mod tests {
         let report = recover_replicas(
             &mut p,
             &failed,
-            |p, t, from, _| scan_all(p, t, from, &failed),
-            |_, _, _, _, _| {},
+            (),
+            |_, p, t, from, _| scan_all(p, t, from, &failed),
+            |_, _, _, _, _, _| {},
         )
         .unwrap();
         assert_eq!(report.replicas_migrated, 4);
@@ -246,8 +251,9 @@ mod tests {
         let report = recover_replicas(
             &mut p,
             &failed,
-            |p, t, from, _| scan_all(p, t, from, &failed),
-            |_, _, _, _, _| {},
+            (),
+            |_, p, t, from, _| scan_all(p, t, from, &failed),
+            |_, _, _, _, _, _| {},
         )
         .unwrap();
         assert_eq!(report.bins_opened, 1);

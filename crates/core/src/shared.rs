@@ -3,11 +3,11 @@
 //! For robustness checks, every algorithm needs the quantity
 //! `|Sᵢ ∩ Sⱼ|` — the total load, on bin `Sᵢ`, of replicas whose tenant also
 //! has a replica on bin `Sⱼ` (paper §II). Because replica loads within a
-//! tenant are equal, the matrix is symmetric. [`SharedIndex`] answers "sum
+//! tenant are equal, the matrix is symmetric. `SharedIndex` answers "sum
 //! of the `γ−1` largest shared loads" — the failover reserve a bin must
 //! keep — in `O(1)` via a per-bin top-`k` cache. Placements grow an entry
-//! in `O(k)` ([`SharedIndex::add`]); tenant departures and replica
-//! migrations shrink entries ([`SharedIndex::sub`]), which rebuilds the two
+//! in `O(k)` (`SharedIndex::add`); tenant departures and replica
+//! migrations shrink entries (`SharedIndex::sub`), which rebuilds the two
 //! affected caches from their full matrix rows — churn is rare relative to
 //! the reserve queries issued on every placement scan, so the asymmetric
 //! cost lands on the right side.

@@ -1,7 +1,7 @@
 //! Cost-aware defragmentation: drain a server only when the rent it
 //! saves beats the migration it costs.
 //!
-//! The bin-count planner ([`crate::plan`]) treats every closable server
+//! The bin-count planner ([`crate::plan()`]) treats every closable server
 //! as worth closing. Under a renting model that is wrong twice over: a
 //! server whose current paid lease block already covers the planning
 //! horizon saves *nothing* when closed (blocks are non-refundable), while
@@ -89,7 +89,7 @@ pub struct EconomicForecast {
 
 /// Computes a cost-objective defragmentation plan.
 ///
-/// Identical safety story to [`crate::plan`] — every step validated with
+/// Identical safety story to [`crate::plan()`] — every step validated with
 /// `move_feasible` in the simulated state it executes in, whole-bin
 /// atomicity, never opens a bin — but candidate selection is economic:
 /// each round scores every remaining open bin with [`drain_score`] and

@@ -8,7 +8,7 @@
 //! for online server renting. This crate closes that gap with a
 //! **migration planner** and an **atomic plan executor**:
 //!
-//! * [`plan`] takes any live [`cubefit_core::Placement`] and a
+//! * [`plan()`] takes any live [`cubefit_core::Placement`] and a
 //!   [`MigrationBudget`] (max replica moves and/or max replica load moved,
 //!   modeling data-copy cost) and produces a [`DefragPlan`]: an ordered
 //!   list of replica migrations that drains the lowest-fill bins into the

@@ -16,7 +16,7 @@
 //! * [`Journal::checkpoint`] — snapshots the placement as a
 //!   CRC-checksummed [`cubefit_core::PlacementDump`] (atomic temp-file +
 //!   rename) and truncates the log, bounding replay work;
-//! * [`recover`] / [`recover_up_to`] — load the latest valid checkpoint
+//! * [`recover()`] / [`recover_up_to`] — load the latest valid checkpoint
 //!   and replay the journal tail, tolerating a torn final frame (the
 //!   expected signature of a crash mid-append: truncated with a warning,
 //!   never a panic) while refusing mid-log corruption with a typed

@@ -119,7 +119,8 @@ pub struct TraceReport {
     pub max_open_bins: usize,
     /// Invariant-state transitions, oldest first.
     pub timeline: Vec<TimelinePoint>,
-    /// Transitions beyond [`TIMELINE_CAP`] that were counted but not kept.
+    /// Transitions past the timeline's 10,000-entry cap that were counted
+    /// but not kept.
     pub timeline_dropped: u64,
     /// Total `InvariantViolated` events.
     pub violations_total: u64,
@@ -466,11 +467,16 @@ mod tests {
         let mut analyzer = TraceAnalyzer::new();
         analyzer.push_line(r#"{"QuantumEntangled":{"tenant":5,"qubits":3}}"#);
         analyzer.push_line(r#"{"QuantumEntangled":{"tenant":6,"qubits":1}}"#);
+        // A variant older traces carry but the enum no longer has.
+        analyzer.push_line(
+            r#"{"RecoveryReplayed":{"checkpoint_seq":500,"frames_replayed":37,"torn_tail":true}}"#,
+        );
         analyzer.push_line("not json at all");
         analyzer.push_line(r#"{"two":"keys","not":"an event"}"#);
         analyzer.push_line(&line(&TraceEvent::BinClosed { bin: 2, level: 0.5 }));
         let report = analyzer.finish();
         assert_eq!(report.skipped["QuantumEntangled"], 2);
+        assert_eq!(report.skipped["RecoveryReplayed"], 1);
         assert_eq!(report.malformed_lines, 2);
         assert_eq!(report.events["BinClosed"], 1);
     }

@@ -266,16 +266,6 @@ pub enum TraceEvent {
         /// Bytes of write-ahead log the checkpoint retired.
         wal_bytes: u64,
     },
-    /// A crash recovery replayed the journal tail over a checkpoint.
-    RecoveryReplayed {
-        /// Sequence number of the checkpoint recovery started from (0 =
-        /// no checkpoint, replayed from an empty placement).
-        checkpoint_seq: u64,
-        /// Journal frames replayed on top of the checkpoint.
-        frames_replayed: u64,
-        /// Whether a torn (incomplete) final frame was discarded.
-        torn_tail: bool,
-    },
 }
 
 /// Names of every [`TraceEvent`] variant, in declaration order. Paired
@@ -307,7 +297,6 @@ pub const VARIANT_NAMES: &[&str] = &[
     "RequestRejected",
     "DegradationChanged",
     "JournalCheckpoint",
-    "RecoveryReplayed",
 ];
 
 impl TraceEvent {
@@ -343,7 +332,6 @@ impl TraceEvent {
             TraceEvent::RequestRejected { .. } => "RequestRejected",
             TraceEvent::DegradationChanged { .. } => "DegradationChanged",
             TraceEvent::JournalCheckpoint { .. } => "JournalCheckpoint",
-            TraceEvent::RecoveryReplayed { .. } => "RecoveryReplayed",
         }
     }
 }
@@ -520,11 +508,6 @@ pub(crate) mod tests {
                 batch: 42,
             },
             TraceEvent::JournalCheckpoint { seq: 500, tenants: 240, wal_bytes: 65_536 },
-            TraceEvent::RecoveryReplayed {
-                checkpoint_seq: 500,
-                frames_replayed: 37,
-                torn_tail: true,
-            },
         ]
     }
 

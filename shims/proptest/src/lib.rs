@@ -278,7 +278,7 @@ pub mod collection {
     use std::fmt::Debug;
     use std::ops::{Range, RangeInclusive};
 
-    /// Element-count bounds for [`vec`].
+    /// Element-count bounds for [`vec()`].
     #[derive(Debug, Clone)]
     pub struct SizeRange {
         min: usize,
