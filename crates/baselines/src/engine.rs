@@ -8,15 +8,14 @@
 //! Next Fit's window. Placement and recovery scan the same candidates, so
 //! every packer re-homes orphaned replicas in its own preference order.
 
-use crate::common::{
-    assignment_feasible, extends_assignment, feasible, BaselineTelemetry, ReserveMode,
-};
+use crate::common::{BaselineTelemetry, ReserveMode};
 use cubefit_core::algorithm::{LoadUpdateOutcome, RemovalOutcome};
 use cubefit_core::bin_index::BinIndex;
 use cubefit_core::recovery::{self, RecoveryReport};
+use cubefit_core::smallbuf::SmallBuf;
 use cubefit_core::{
-    BinId, Consolidator, Error, Placement, PlacementOutcome, PlacementStage, Result, Tenant,
-    TenantId,
+    validity, BinId, Consolidator, Error, Placement, PlacementOutcome, PlacementStage, Result,
+    Tenant, TenantId, EPSILON,
 };
 use cubefit_telemetry::{Recorder, TraceEvent};
 use std::fmt;
@@ -27,8 +26,9 @@ pub trait Rule: Clone + fmt::Debug + 'static {
     const NAME: &'static str;
 
     /// Whether a candidate must also keep the servers already chosen for
-    /// the tenant feasible ([`extends_assignment`]) rather than only
-    /// itself ([`feasible`]).
+    /// the tenant within their reserve (Theorem 1's tuple test over the
+    /// candidate and the chosen servers) rather than only fit beside them
+    /// itself.
     const CHECKS_CHOSEN: bool = true;
 
     /// The key `bin` is indexed by; `None` (the default) for rules whose
@@ -143,7 +143,7 @@ impl<R: Rule> Baseline<R> {
                 }
             }
         }
-        if !assignment_feasible(&self.placement, &chosen, size, self.reserve, None) {
+        if !validity::tuple_fits(&chosen, replica_fit(&self.placement, self.reserve, size, None)) {
             self.fallbacks += 1;
             self.telemetry.fallbacks.inc();
             chosen = (0..gamma).map(|_| self.open()).collect();
@@ -157,18 +157,47 @@ impl<R: Rule> Baseline<R> {
     /// `FitAttempt` trace events).
     fn pick(&mut self, size: f64, chosen: &[BinId]) -> (Option<BinId>, usize) {
         let Baseline { placement, index, reserve, rule, .. } = self;
-        let (reserve, cap) = (*reserve, rule.fill_cap());
+        let placement = &*placement;
+        let fits = replica_fit(placement, *reserve, size, rule.fill_cap());
+        // The candidate leads the tentative tuple, so the tuple test checks
+        // it before the chosen servers whose shared loads it raises.
+        let mut tuple: SmallBuf<BinId, 8> = SmallBuf::new(BinId::new(0));
+        for &bin in [BinId::new(0)].iter().chain(chosen) {
+            tuple.push(bin);
+        }
         let mut scanned = 0;
         let hit = rule.candidates(index, placement, size).find(|&bin| {
             scanned += 1;
-            !chosen.contains(&bin)
-                && if R::CHECKS_CHOSEN {
-                    extends_assignment(placement, chosen, bin, size, reserve, cap)
-                } else {
-                    feasible(placement, bin, size, chosen, reserve, cap)
-                }
+            if chosen.contains(&bin) {
+                return false;
+            }
+            if R::CHECKS_CHOSEN {
+                tuple.as_mut_slice()[0] = bin;
+                validity::tuple_fits(tuple.as_slice(), &fits)
+            } else {
+                fits(bin, chosen)
+            }
         });
         (hit, scanned)
+    }
+}
+
+/// The baselines' per-server test for a replica of `size` joining a
+/// server beside the tenant's tentative siblings: the rule's fill `cap`
+/// (RFI's `μ`) on the server's level, then Theorem 1's fit test with the
+/// reserve `reserve` covers.
+pub(crate) fn replica_fit(
+    placement: &Placement,
+    reserve: ReserveMode,
+    size: f64,
+    cap: Option<f64>,
+) -> impl Fn(BinId, &[BinId]) -> bool + '_ {
+    let k = reserve.failures_covered(placement.gamma());
+    move |bin, siblings| {
+        let level = placement.level(bin) + size;
+        let adjustments = siblings.iter().map(|&sibling| (sibling, size));
+        cap.is_none_or(|cap| level <= cap + EPSILON)
+            && validity::fits(placement, bin, level, adjustments, k)
     }
 }
 
@@ -279,5 +308,119 @@ impl<R: Rule> Consolidator for Baseline<R> {
 
     fn set_recorder(&mut self, recorder: Recorder) {
         self.telemetry = BaselineTelemetry::resolve(recorder, R::NAME, self.placement.gamma());
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use cubefit_core::{Load, Tenant, TenantId};
+
+    fn tenant(id: u64, load: f64) -> Tenant {
+        Tenant::new(TenantId::new(id), Load::new(load).unwrap())
+    }
+
+    /// Theorem 1's fit test for a replica of `size` joining `bin` beside
+    /// `siblings`, at the depth `reserve` covers.
+    fn fits(
+        p: &Placement,
+        bin: BinId,
+        size: f64,
+        siblings: &[BinId],
+        reserve: ReserveMode,
+    ) -> bool {
+        let adjustments = siblings.iter().map(|&sibling| (sibling, size));
+        validity::fits(
+            p,
+            bin,
+            p.level(bin) + size,
+            adjustments,
+            reserve.failures_covered(p.gamma()),
+        )
+    }
+
+    /// Theorem 1's tuple test over `bins` for replicas of `size`.
+    fn tuple_fits(p: &Placement, bins: &[BinId], size: f64, reserve: ReserveMode) -> bool {
+        validity::tuple_fits(bins, |bin, siblings| fits(p, bin, size, siblings, reserve))
+    }
+
+    fn placement_with_pair() -> (Placement, Vec<BinId>) {
+        let mut p = Placement::new(3);
+        let bins: Vec<BinId> = (0..4).map(|_| p.open_bin(None)).collect();
+        p.place_tenant(&tenant(0, 0.6), &[bins[0], bins[1], bins[2]]).unwrap();
+        (p, bins)
+    }
+
+    #[test]
+    fn gamma_reserve_is_stricter_than_single() {
+        let (p, bins) = placement_with_pair();
+        // bin0: level 0.2, shares 0.2 with bins 1 and 2.
+        // Single-failure reserve: 0.2 + s + 0.2 ≤ 1 → s ≤ 0.6.
+        // γ−1 reserve: 0.2 + s + 0.4 ≤ 1 → s ≤ 0.4.
+        assert!(fits(&p, bins[0], 0.5, &[], ReserveMode::SingleFailure));
+        assert!(!fits(&p, bins[0], 0.5, &[], ReserveMode::GammaMinusOne));
+        assert!(fits(&p, bins[0], 0.4, &[], ReserveMode::GammaMinusOne));
+    }
+
+    #[test]
+    fn fill_cap_limits_level() {
+        let (p, bins) = placement_with_pair();
+        let capped = |size| replica_fit(&p, ReserveMode::SingleFailure, size, Some(0.85));
+        assert!(capped(0.3)(bins[0], &[]));
+        assert!(!capped(0.7)(bins[0], &[]));
+    }
+
+    #[test]
+    fn siblings_raise_future_shared_load() {
+        let (p, bins) = placement_with_pair();
+        // Placing 0.25 on bin0 with a sibling on bin1 raises their mutual
+        // share to 0.45: single-failure check 0.2+0.25+0.45 = 0.9 ≤ 1 ok,
+        // but with another sibling on bin2 the γ−1 reserve is 0.9 → 1.35.
+        assert!(fits(&p, bins[0], 0.25, &[bins[1]], ReserveMode::SingleFailure));
+        assert!(!fits(&p, bins[0], 0.25, &[bins[1], bins[2]], ReserveMode::GammaMinusOne));
+    }
+
+    #[test]
+    fn assignment_revalidation_catches_pairwise_overload() {
+        let mut p = Placement::new(2);
+        let a = p.open_bin(None);
+        let b = p.open_bin(None);
+        p.place_tenant(&tenant(0, 0.7), &[a, b]).unwrap();
+        // Each bin alone admits a 0.3 replica, but the pair (with mutual
+        // share 0.35+0.3) does not.
+        assert!(fits(&p, a, 0.3, &[], ReserveMode::GammaMinusOne));
+        assert!(!tuple_fits(&p, &[a, b], 0.3, ReserveMode::GammaMinusOne));
+        assert!(tuple_fits(&p, &[a, b], 0.1, ReserveMode::GammaMinusOne));
+    }
+
+    #[test]
+    fn feasible_counts_all_siblings_at_large_gamma() {
+        // Regression for the 8-entry adjustment truncation (mirror of the
+        // m-fit fix): at γ = 12 a full sibling set has 11 entries. True
+        // worst case for a 0.06 guest replica on every bin of a 0.4-load
+        // tenant is 0.4 + 12·0.06 = 1.12 > 1; counting only 8 siblings
+        // gave 0.94 and accepted it.
+        let gamma = 12;
+        let mut p = Placement::new(gamma);
+        let bins: Vec<BinId> = (0..gamma).map(|_| p.open_bin(None)).collect();
+        p.place_tenant(&tenant(0, 0.4), &bins).unwrap();
+        let full = ReserveMode::GammaMinusOne;
+        assert!(!fits(&p, bins[0], 0.06, &bins[1..], full));
+        assert!(fits(&p, bins[0], 0.05, &bins[1..], full));
+        // The candidate bins[0] leading the chosen bins[1..], as a greedy
+        // scan tests it, forwards the full sibling set too.
+        let mut tuple = vec![bins[0]];
+        tuple.extend_from_slice(&bins[1..]);
+        assert!(!tuple_fits(&p, &tuple, 0.06, full));
+        assert!(tuple_fits(&p, &tuple, 0.05, full));
+        // The whole-assignment re-validation agrees.
+        assert!(!tuple_fits(&p, &bins, 0.06, full));
+        assert!(tuple_fits(&p, &bins, 0.05, full));
+    }
+
+    #[test]
+    fn empty_bin_always_feasible_within_cap() {
+        let (p, bins) = placement_with_pair();
+        assert!(fits(&p, bins[3], 1.0 / 3.0, &[], ReserveMode::GammaMinusOne));
     }
 }

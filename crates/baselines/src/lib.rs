@@ -22,7 +22,8 @@
 //! [`Baseline`] over a small [`Rule`] (candidate order and index key,
 //! reserve, RFI's `μ` cap, Next Fit's window, Random Fit's probes), and
 //! [`Baseline`] implements [`cubefit_core::Consolidator`] once, so
-//! harnesses drive them interchangeably:
+//! harnesses drive them interchangeably. A candidate passes RFI's `μ` cap,
+//! then core's Theorem 1 fit and tuple tests (`cubefit_core::validity`):
 //!
 //! ```
 //! use cubefit_baselines::Rfi;

@@ -1,8 +1,8 @@
 //! Next Fit adapted to replicated tenants.
 
-use crate::common::{assignment_feasible, ReserveMode};
-use crate::engine::{Baseline, Rule};
-use cubefit_core::{BinId, Result, Tenant};
+use crate::common::ReserveMode;
+use crate::engine::{replica_fit, Baseline, Rule};
+use cubefit_core::{validity, BinId, Result, Tenant};
 use cubefit_telemetry::TraceEvent;
 
 /// Next Fit's rule: the current window of `γ` servers, if one is open.
@@ -18,9 +18,9 @@ impl Rule for Window {
     /// window closes for good and a fresh one opens.
     fn choose(packer: &mut NextFit, tenant: &Tenant, size: f64) -> (Vec<BinId>, usize) {
         let Baseline { placement, reserve, rule: Window(window), telemetry, .. } = packer;
-        let fits = window
-            .as_ref()
-            .is_some_and(|window| assignment_feasible(placement, window, size, *reserve, None));
+        let fits = window.as_ref().is_some_and(|window| {
+            validity::tuple_fits(window, replica_fit(placement, *reserve, size, None))
+        });
         telemetry.recorder.emit(|| TraceEvent::FitAttempt {
             tenant: tenant.id().get(),
             replica: 0,

@@ -4,7 +4,7 @@
 use crate::common::ReserveMode;
 use crate::engine::{Baseline, Rule};
 use cubefit_core::bin_index::BinIndex;
-use cubefit_core::{BinId, Error, Placement, Result};
+use cubefit_core::{validity, BinId, Error, Placement, Result};
 
 /// RFI's rule: servers keyed by *robust slack* `min(μ, 1 − maxShared) −
 /// level`, the largest replica a server can accept under both the
@@ -25,7 +25,7 @@ impl Rule for Tightest {
     fn key(&self, placement: &Placement, bin: BinId) -> Option<f64> {
         let level = placement.level(bin);
         let reserve = placement.top_shared_sum_with(bin, &[], 1);
-        Some((self.mu - level).min(1.0 - level - reserve).max(0.0))
+        Some((self.mu - level).min(validity::margin(level, reserve)).max(0.0))
     }
 
     fn candidates<'a>(

@@ -26,7 +26,7 @@ fn bench_queries(c: &mut Criterion) {
         let mut i = 0;
         b.iter(|| {
             i = (i + 1) % bins.len();
-            mfit::m_fits(&placement, bins[i], 0.05, &[])
+            mfit::m_fits_with_growth(&placement, bins[i], 0.05, &[], &[], 0.0)
         });
     });
 
@@ -34,7 +34,7 @@ fn bench_queries(c: &mut Criterion) {
         let mut i = 0;
         b.iter(|| {
             i = (i + 2) % (bins.len() - 1);
-            mfit::m_fits(&placement, bins[i], 0.05, &[bins[i + 1]])
+            mfit::m_fits_with_growth(&placement, bins[i], 0.05, &[bins[i + 1]], &[], 0.0)
         });
     });
 

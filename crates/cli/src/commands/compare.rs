@@ -47,7 +47,7 @@ pub fn run(args: &ParsedArgs) -> Result<String, String> {
             result.servers.to_string(),
             format!("{:.1}%", result.utilization * 100.0),
             result.robust.to_string(),
-            format!("{:.1?}", result.wall),
+            format!("{:.3} ms", result.wall.as_secs_f64() * 1e3),
         ]);
     }
     recorder.flush()?;

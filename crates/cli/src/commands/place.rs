@@ -48,13 +48,13 @@ pub fn run(args: &ParsedArgs) -> Result<String, String> {
     recorder.flush()?;
     let mut output = format!(
         "{algo}: {tenants} tenants on {servers} servers \
-         (utilization {util:.1}%, robust: {robust}, placed in {wall:.1?})\n",
+         (utilization {util:.1}%, robust: {robust}, placed in {wall_ms:.3} ms)\n",
         algo = result.algorithm,
         tenants = result.tenants,
         servers = result.servers,
         util = result.utilization * 100.0,
         robust = result.robust,
-        wall = result.wall,
+        wall_ms = result.wall.as_secs_f64() * 1e3,
     );
     if batched {
         output.push_str(&format!("batch size {batch}\n"));

@@ -116,11 +116,7 @@ pub fn run(args: &ParsedArgs) -> Result<String, String> {
         report.mean(),
         report.overall.len(),
         sla,
-        if impact.max_load() > 1.0 + cubefit_core::EPSILON {
-            "guarantee VIOLATED"
-        } else {
-            "guarantee holds"
-        },
+        if impact.has_overload() { "guarantee VIOLATED" } else { "guarantee holds" },
         unavailable,
     ) + &extra)
 }

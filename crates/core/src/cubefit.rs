@@ -5,7 +5,7 @@ use crate::algorithm::{
 };
 use crate::bin::BinId;
 use crate::bin_index::BinIndex;
-use crate::class::Classifier;
+use crate::class::{Classifier, ReplicaClass};
 use crate::config::CubeFitConfig;
 use crate::cube::{ClassGroups, SlotTarget};
 use crate::error::{Error, Result};
@@ -14,6 +14,7 @@ use crate::multireplica::MultiReplicaState;
 use crate::placement::Placement;
 use crate::recovery::{self, RecoveryReport};
 use crate::tenant::{Tenant, TenantId};
+use crate::validity;
 use cubefit_telemetry::{Counter, Recorder, TraceEvent};
 use std::collections::{BTreeMap, HashMap};
 
@@ -163,34 +164,45 @@ impl CubeFit {
         }
     }
 
+    /// Stage 1: Best Fit of all `γ` replicas into mature bins that m-fit
+    /// them, or `None` to fall through. The active multi-replica's
+    /// remaining growth is charged to its host bins so a guest admitted now
+    /// still fits once that growth lands. A departing stage-1 guest has
+    /// nothing to reclaim, so it gets no `placed_via` entry.
+    fn place_mature(
+        &mut self,
+        tenant: &Tenant,
+        class: ReplicaClass,
+        size: f64,
+    ) -> Result<Option<PlacementOutcome>> {
+        let growth_hosts = self.multi.active_hosts();
+        let scan = mfit::try_stage1(
+            &self.placement,
+            &self.mature,
+            self.config.stage1_eligibility(),
+            class,
+            size,
+            self.config.gamma(),
+            &growth_hosts,
+            self.multi.headroom(),
+        );
+        self.note_mfit(tenant, class.index(), &scan);
+        let Some(bins) = scan.bins else { return Ok(None) };
+        self.commit(tenant, &bins)?;
+        self.counters.stage1_placements += 1;
+        self.instruments.stage1.inc();
+        self.emit_placed(tenant, &bins, PlacementStage::MatureFit, 0);
+        let stage = PlacementStage::MatureFit;
+        Ok(Some(PlacementOutcome { tenant: tenant.id(), bins, opened: 0, stage }))
+    }
+
     /// Places a tiny (class-`K`) tenant: stage-1 reuse of mature-bin
     /// leftover space when enabled (§V.A), else the multi-replica path.
     fn place_tiny(&mut self, tenant: &Tenant, size: f64) -> Result<PlacementOutcome> {
         if self.config.tiny_stage1() {
-            let growth_hosts = self.multi.active_hosts();
-            let scan = mfit::try_stage1(
-                &self.placement,
-                &self.mature,
-                self.config.stage1_eligibility(),
-                crate::class::ReplicaClass::new(self.config.classes()),
-                size,
-                self.config.gamma(),
-                &growth_hosts,
-                self.multi.headroom(),
-            );
-            self.note_mfit(tenant, self.config.classes(), &scan);
-            if let Some(bins) = scan.bins {
-                self.commit(tenant, &bins)?;
-                self.placed_via.insert(tenant.id(), PlacedVia::MatureFit);
-                self.counters.stage1_placements += 1;
-                self.instruments.stage1.inc();
-                self.emit_placed(tenant, &bins, PlacementStage::MatureFit, 0);
-                return Ok(PlacementOutcome {
-                    tenant: tenant.id(),
-                    bins,
-                    opened: 0,
-                    stage: PlacementStage::MatureFit,
-                });
+            let class = ReplicaClass::new(self.config.classes());
+            if let Some(outcome) = self.place_mature(tenant, class, size)? {
+                return Ok(outcome);
             }
         }
         let (target_class, _) = self.config.tiny_target();
@@ -218,7 +230,8 @@ impl CubeFit {
         self.commit(tenant, &decision.bins)?;
         self.placed_via.insert(tenant.id(), PlacedVia::Multi);
         if let Some(targets) = &decision.new_slots {
-            self.note_slots(targets);
+            let bins: Vec<BinId> = targets.iter().map(|t| t.bin).collect();
+            self.note_slots(&bins);
         }
         self.counters.tiny_placements += 1;
         self.instruments.tiny.inc();
@@ -231,7 +244,7 @@ impl CubeFit {
         })
     }
 
-    /// Commits a tenant to its bins, keeping the mature-set slack keys
+    /// Commits a tenant to its bins, keeping the mature-set margin keys
     /// consistent (placement changes both the levels and the shared loads
     /// of exactly these bins).
     fn commit(&mut self, tenant: &Tenant, bins: &[BinId]) -> Result<()> {
@@ -247,9 +260,7 @@ impl CubeFit {
             Vec::new()
         };
         self.placement.place_tenant(tenant, bins)?;
-        for &bin in bins {
-            self.mature.update(bin, slack(&self.placement, bin));
-        }
+        rekey(&mut self.mature, &self.placement, bins);
         if !newly_opened.is_empty() {
             self.instruments.bins_opened.add(newly_opened.len() as u64);
             let total = self.placement.open_bins();
@@ -305,23 +316,26 @@ impl CubeFit {
         }
     }
 
-    /// Records stage-2 slot occupancy and promotes bins whose payload slots
-    /// are now all filled to the mature set. Already-mature bins (possible
-    /// once departures decrement and cell reuse re-increments the counts)
-    /// are left alone so their slack key is not duplicated.
-    fn note_slots(&mut self, targets: &[SlotTarget]) {
-        for target in targets {
-            let index = target.bin.index();
+    /// Records stage-2 slot occupancy, for fresh cube slots and reused
+    /// cells alike, and promotes bins whose payload slots are now all
+    /// filled to the mature set. Already-mature bins (possible once
+    /// departures decrement and cell reuse re-increments the counts) are
+    /// left alone so their key is not duplicated. A reused cell can hold a
+    /// classless bin that a recovery opened; it never matures.
+    fn note_slots(&mut self, bins: &[BinId]) {
+        for &bin in bins {
+            let index = bin.index();
             if index >= self.slots_filled.len() {
                 self.slots_filled.resize(index + 1, 0);
             }
             self.slots_filled[index] += 1;
-            let class =
-                self.placement.bin(target.bin).class().expect("stage-2 bins are always classed");
+            let Some(class) = self.placement.bin(bin).class() else { continue };
             if self.slots_filled[index] == self.classifier.payload_slots(class)
-                && !self.mature.contains(target.bin)
+                && !self.mature.contains(bin)
             {
-                self.mature.insert(target.bin, slack(&self.placement, target.bin));
+                let level = self.placement.level(bin);
+                self.mature
+                    .insert(bin, validity::margin(level, self.placement.worst_failover(bin)));
             }
         }
     }
@@ -336,69 +350,40 @@ impl CubeFit {
         let placement = &self.placement;
         let cells = self.free_cells.get_mut(&tau)?;
         let pos = cells.iter().position(|cell| {
-            cell.iter().enumerate().all(|(i, &bin)| {
-                let siblings: Vec<BinId> =
-                    cell.iter().enumerate().filter(|&(j, _)| j != i).map(|(_, &b)| b).collect();
-                mfit::m_fits_with_growth(placement, bin, size, &siblings, &growth_hosts, headroom)
+            validity::tuple_fits(cell, |bin, siblings| {
+                mfit::m_fits_with_growth(placement, bin, size, siblings, &growth_hosts, headroom)
             })
         })?;
         Some(cells.swap_remove(pos))
     }
 
-    /// Re-occupies the slots of a reused cell, restoring maturity to bins
-    /// whose payload slots are full again.
-    fn note_refill(&mut self, bins: &[BinId]) {
-        for &bin in bins {
-            let index = bin.index();
-            if index >= self.slots_filled.len() {
-                self.slots_filled.resize(index + 1, 0);
-            }
-            self.slots_filled[index] += 1;
-            if let Some(class) = self.placement.bin(bin).class() {
-                if self.slots_filled[index] == self.classifier.payload_slots(class)
-                    && !self.mature.contains(bin)
-                {
-                    self.mature.insert(bin, slack(&self.placement, bin));
-                }
-            }
-        }
-    }
-
-    /// Whether every bin of a prospective cube tuple m-fits a replica of
-    /// `size` alongside the rest of the tuple — the check cell reuse
-    /// already performs, applied to freshly assigned tuples once recovery
-    /// has voided the cube's by-construction guarantee.
-    fn tuple_feasible(&self, bins: &[BinId], size: f64) -> bool {
-        let growth_hosts = self.multi.active_hosts();
-        let headroom = self.multi.headroom();
-        bins.iter().enumerate().all(|(i, &bin)| {
-            let siblings: Vec<BinId> =
-                bins.iter().enumerate().filter(|&(j, _)| j != i).map(|(_, &b)| b).collect();
-            mfit::m_fits_with_growth(&self.placement, bin, size, &siblings, &growth_hosts, headroom)
-        })
-    }
-
-    /// Draws the next class-`tau` cube tuple that robustly fits a replica
-    /// of `size`, used instead of a bare `groups.assign` once recovery has
-    /// perturbed the cube. Infeasible tuples are banked as reclaimed cells
-    /// (a departure or a lighter tenant can revive them) and the cube
+    /// Draws the next class-`tau` cube tuple whose every bin m-fits a
+    /// replica of `size` alongside the rest of the tuple (the check cell
+    /// reuse performs), used instead of a bare `groups.assign` once recovery
+    /// has perturbed the cube. Infeasible tuples are banked as reclaimed
+    /// cells (a departure or a lighter tenant can revive them) and the cube
     /// advances; if no tuple passes within the scan limit the caller gets a
     /// dedicated tuple of fresh bins, which trivially satisfies the
     /// reserve.
     fn checked_cube_tuple(&mut self, tau: usize, size: f64) -> Vec<SlotTarget> {
         let gamma = self.config.gamma();
+        let growth_hosts = self.multi.active_hosts();
+        let headroom = self.multi.headroom();
         for _ in 0..mfit::SCAN_LIMIT {
             let groups = self.groups.entry(tau).or_insert_with(|| ClassGroups::new(tau, gamma));
             let targets = groups.assign(&mut self.placement);
             let bins: Vec<BinId> = targets.iter().map(|t| t.bin).collect();
-            if self.tuple_feasible(&bins, size) {
+            let placement = &self.placement;
+            if validity::tuple_fits(&bins, |bin, siblings| {
+                mfit::m_fits_with_growth(placement, bin, size, siblings, &growth_hosts, headroom)
+            }) {
                 return targets;
             }
             self.free_cells.entry(tau).or_default().push(bins);
         }
         (0..gamma)
             .map(|_| SlotTarget {
-                bin: self.placement.open_bin(Some(crate::class::ReplicaClass::new(tau))),
+                bin: self.placement.open_bin(Some(ReplicaClass::new(tau))),
                 slot: 0,
                 opened: true,
             })
@@ -425,38 +410,15 @@ impl Consolidator for CubeFit {
             return self.place_tiny(&tenant, size);
         }
 
-        // Stage 1: Best Fit into mature bins, if every replica m-fits. The
-        // active multi-replica's remaining growth is charged to its host
-        // bins so a guest admitted now still fits once that growth lands.
-        // Class-1 replicas have no strictly-smaller class to reuse, so the
-        // scan is skipped outright under the default eligibility rule.
+        // Stage 1, if every replica m-fits. Class-1 replicas have no
+        // strictly-smaller class to reuse, so the scan is skipped outright
+        // under the default eligibility rule.
         let stage1_possible = class.index() > 1
             || self.config.stage1_eligibility()
                 != crate::config::Stage1Eligibility::SmallerClassBins;
         if stage1_possible {
-            let growth_hosts = self.multi.active_hosts();
-            let scan = mfit::try_stage1(
-                &self.placement,
-                &self.mature,
-                self.config.stage1_eligibility(),
-                class,
-                size,
-                gamma,
-                &growth_hosts,
-                self.multi.headroom(),
-            );
-            self.note_mfit(&tenant, class.index(), &scan);
-            if let Some(bins) = scan.bins {
-                self.commit(&tenant, &bins)?;
-                self.counters.stage1_placements += 1;
-                self.instruments.stage1.inc();
-                self.emit_placed(&tenant, &bins, PlacementStage::MatureFit, 0);
-                return Ok(PlacementOutcome {
-                    tenant: tenant.id(),
-                    bins,
-                    opened: 0,
-                    stage: PlacementStage::MatureFit,
-                });
+            if let Some(outcome) = self.place_mature(&tenant, class, size)? {
+                return Ok(outcome);
             }
         }
 
@@ -468,7 +430,7 @@ impl Consolidator for CubeFit {
         if let Some(bins) = self.take_free_cell(tau, size) {
             let opened = bins.iter().filter(|&&b| self.placement.bin(b).is_empty()).count();
             self.commit(&tenant, &bins)?;
-            self.note_refill(&bins);
+            self.note_slots(&bins);
             self.placed_via.insert(tenant.id(), PlacedVia::Cube(tau));
             self.counters.stage2_placements += 1;
             self.counters.cells_reused += 1;
@@ -494,7 +456,7 @@ impl Consolidator for CubeFit {
         let opened = targets.iter().filter(|t| t.opened).count();
         self.emit_slots(&tenant, tau, &targets);
         self.commit(&tenant, &bins)?;
-        self.note_slots(&targets);
+        self.note_slots(&bins);
         self.placed_via.insert(tenant.id(), PlacedVia::Cube(tau));
         self.counters.stage2_placements += 1;
         self.instruments.stage2.inc();
@@ -506,16 +468,14 @@ impl Consolidator for CubeFit {
         let (load, bins) = self.placement.remove_tenant(tenant)?;
         let via = self.placed_via.remove(&tenant).unwrap_or(PlacedVia::MatureFit);
         // Removal shrinks levels and shared loads of exactly these bins.
-        for &bin in &bins {
-            self.mature.update(bin, slack(&self.placement, bin));
-        }
+        rekey(&mut self.mature, &self.placement, &bins);
         if let PlacedVia::Cube(tau) = via {
             // The vacated cell (the tenant's bins at departure time, which
             // after migrations may differ from the original cube tuple —
             // reuse re-checks feasibility either way) becomes available to
             // future same-class tenants. Slot counts drop with it; a bin
             // whose count falls below payload stays in the mature set — its
-            // slack key already reflects the freed space, and every stage-1
+            // margin key already reflects the freed space, and every stage-1
             // admission is predicate-checked.
             for &bin in &bins {
                 let index = bin.index();
@@ -537,10 +497,8 @@ impl Consolidator for CubeFit {
     fn update_load(&mut self, tenant: TenantId, new_load: f64) -> Result<LoadUpdateOutcome> {
         let (old_load, bins) = self.placement.update_load(tenant, new_load)?;
         // The drift changes exactly these bins' levels and the shared loads
-        // among them; their mature slack keys must follow.
-        for &bin in &bins {
-            self.mature.update(bin, slack(&self.placement, bin));
-        }
+        // among them; their mature keys must follow.
+        rekey(&mut self.mature, &self.placement, &bins);
         if new_load > old_load {
             // Upward drift inflates replica sizes beyond what the cube's
             // by-construction feasibility priced in: predicate-check every
@@ -657,19 +615,20 @@ impl Consolidator for CubeFit {
     }
 }
 
-/// The robust slack of `bin`: the guest headroom the mature set keys by.
-fn slack(placement: &Placement, bin: BinId) -> f64 {
-    1.0 - placement.level(bin) - placement.worst_failover(bin)
+/// Re-keys each of `bins` the mature set tracks by its Theorem-1 margin:
+/// the guest headroom a stage-1 scan reads.
+fn rekey(mature: &mut BinIndex, placement: &Placement, bins: &[BinId]) {
+    for &bin in bins {
+        mature.update(bin, validity::margin(placement.level(bin), placement.worst_failover(bin)));
+    }
 }
 
 /// Re-keys the mature bins a move of `tenant`'s replica off `from`
 /// touched: the source's and target's levels change, plus the shared loads
 /// between the target and every sibling.
 fn rekey_move(mature: &mut BinIndex, placement: &Placement, tenant: TenantId, from: BinId) {
-    mature.update(from, slack(placement, from));
-    for &bin in placement.tenant_bins(tenant).expect("still placed") {
-        mature.update(bin, slack(placement, bin));
-    }
+    rekey(mature, placement, &[from]);
+    rekey(mature, placement, placement.tenant_bins(tenant).expect("still placed"));
 }
 
 #[cfg(test)]
@@ -678,7 +637,6 @@ mod tests {
     use crate::config::{Stage1Eligibility, TinyPolicy};
     use crate::load::Load;
     use crate::tenant::TenantId;
-    use crate::validity;
 
     fn tenant(id: u64, load: f64) -> Tenant {
         Tenant::new(TenantId::new(id), Load::new(load).unwrap())

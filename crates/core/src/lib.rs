@@ -15,8 +15,11 @@
 //!
 //! * the placement substrate shared by every algorithm in the workspace —
 //!   [`Tenant`]s, [`Load`]s, bins ([`BinId`], [`BinSnapshot`]), the
-//!   [`Placement`] state with incremental shared-load bookkeeping, and the
-//!   exhaustive robustness checker in [`validity`];
+//!   [`Placement`] state with incremental shared-load bookkeeping, and
+//!   Theorem 1 in one place, [`validity`]: the fit test, the tuple test and
+//!   the margin that CubeFit, the baselines, recovery, the monitor and
+//!   mitigation all decide robustness with, plus the whole-placement
+//!   checker;
 //! * the [`CubeFit`] consolidator itself: size classes, mature-bin *m-fit*
 //!   placement (stage 1), cube-addressed slot placement (stage 2), and
 //!   multi-replica aggregation for tiny tenants;

@@ -2,7 +2,8 @@
 //!
 //! A mature bin `B` **m-fits** a replica `r` if `B` has room for `r` and,
 //! after placing `r`, the empty space of `B` is at least the total size of
-//! replicas shared between `B` and any set of `γ − 1` bins (paper §III).
+//! replicas shared between `B` and any set of `γ − 1` bins (paper §III):
+//! Theorem 1's fit test ([`validity::fits`]) at `B`'s level plus `r`.
 //! Stage 1 of CubeFit places a tenant's replicas into mature bins by Best
 //! Fit when *all* `γ` replicas m-fit; otherwise the tenant falls through
 //! to stage 2. Best Fit here selects the *tightest* robustly fitting bin —
@@ -15,8 +16,7 @@ use crate::bin_index::BinIndex;
 use crate::class::ReplicaClass;
 use crate::config::Stage1Eligibility;
 use crate::placement::Placement;
-use crate::smallbuf::SmallBuf;
-use crate::EPSILON;
+use crate::validity;
 
 /// Most mature-bin candidates a stage-1 Best-Fit scan inspects per
 /// replica. The bound keeps placement `O(1)` amortized at data-center
@@ -26,38 +26,17 @@ use crate::EPSILON;
 pub(crate) const SCAN_LIMIT: usize = 512;
 
 /// Whether `bin` m-fits a replica of size `size`, assuming the tenant's
-/// other replicas are (tentatively) placed on `siblings`.
+/// other replicas are (tentatively) placed on `siblings` (which may list
+/// `bin` itself), with pending-growth accounting.
 ///
-/// `siblings` affects the check because placing the tenant increases the
-/// shared load between `bin` and each sibling by `size`.
-///
-/// ```
-/// use cubefit_core::{mfit, Load, Placement, Tenant, TenantId};
-///
-/// # fn main() -> Result<(), cubefit_core::Error> {
-/// let mut p = Placement::new(2);
-/// let (s1, s2) = (p.open_bin(None), p.open_bin(None));
-/// p.place_tenant(&Tenant::new(TenantId::new(0), Load::new(0.7)?), &[s1, s2])?;
-/// // s1 is at level 0.35 sharing 0.35 with s2: a 0.3 replica still fits
-/// // (0.35+0.3+0.35 ≤ 1) but a 0.31 replica does not.
-/// assert!(mfit::m_fits(&p, s1, 0.3, &[]));
-/// assert!(!mfit::m_fits(&p, s1, 0.31, &[]));
-/// # Ok(())
-/// # }
-/// ```
-#[must_use]
-pub fn m_fits(placement: &Placement, bin: BinId, size: f64, siblings: &[BinId]) -> bool {
-    m_fits_with_growth(placement, bin, size, siblings, &[], 0.0)
-}
-
-/// [`m_fits`] with pending-growth accounting.
-///
-/// The active multi-replica (see [`crate::multireplica`]) keeps growing on
-/// its `γ` host bins after they mature, by up to `headroom` (its cap minus
-/// its current size). A guest admitted now must still fit once that growth
-/// materializes, so the check treats each host in `growth_hosts` as if its
-/// level — and its shared load with the other hosts — were already
-/// `headroom` higher.
+/// Placing the tenant raises the shared load between `bin` and each
+/// sibling by `size`. The active multi-replica (see
+/// [`crate::multireplica`]) keeps growing on its `γ` host bins after they
+/// mature, by up to `headroom` (its cap minus its current size). A guest
+/// admitted now must still fit once that growth materializes, so a host in
+/// `growth_hosts` enters Theorem 1's fit test ([`validity::fits`]) at its
+/// level bumped by `headroom`, with its shared load to every other host
+/// raised by `headroom` too.
 #[must_use]
 pub fn m_fits_with_growth(
     placement: &Placement,
@@ -69,26 +48,12 @@ pub fn m_fits_with_growth(
 ) -> bool {
     let is_host = growth_hosts.contains(&bin);
     let level = placement.level(bin) + if is_host { headroom } else { 0.0 };
-    if level + size > 1.0 + EPSILON {
-        return false;
-    }
-    // Inline-first adjustments: this is the hot path of every stage-1 scan
-    // and γ is tiny for the paper's configurations, but the buffer spills
-    // to the heap for large γ — truncating entries here silently shrinks
-    // the failover reserve and admits non-robust placements.
-    let mut adjustments: SmallBuf<(BinId, f64), 8> = SmallBuf::new((BinId::new(0), 0.0));
-    for &sibling in siblings {
-        adjustments.push((sibling, size));
-    }
-    if is_host {
-        for &host in growth_hosts {
-            if host != bin {
-                adjustments.push((host, headroom));
-            }
-        }
-    }
-    let failover = placement.worst_failover_with(bin, adjustments.as_slice());
-    level + size + failover <= 1.0 + EPSILON
+    let growth = if is_host { growth_hosts } else { &[] };
+    let adjustments = siblings
+        .iter()
+        .map(|&sibling| (sibling, size))
+        .chain(growth.iter().map(|&host| (host, headroom)));
+    validity::fits(placement, bin, level + size, adjustments, placement.gamma() - 1)
 }
 
 /// What a stage-1 attempt did: the chosen bins (if any) and how much scan
@@ -140,14 +105,10 @@ pub(crate) fn try_stage1(
     // Re-validate every chosen bin against the *complete* sibling set:
     // later choices increase the shared load of earlier ones, which the
     // per-replica scan could not yet see.
-    for (i, &bin) in chosen.iter().enumerate() {
-        let siblings: Vec<BinId> =
-            chosen.iter().enumerate().filter(|&(j, _)| j != i).map(|(_, &b)| b).collect();
-        if !m_fits_with_growth(placement, bin, size, &siblings, growth_hosts, headroom) {
-            return Stage1Scan { bins: None, scanned };
-        }
-    }
-    Stage1Scan { bins: Some(chosen), scanned }
+    let fits = validity::tuple_fits(&chosen, |bin, siblings| {
+        m_fits_with_growth(placement, bin, size, siblings, growth_hosts, headroom)
+    });
+    Stage1Scan { bins: fits.then_some(chosen), scanned }
 }
 
 fn eligible(
@@ -174,6 +135,13 @@ mod tests {
         Tenant::new(TenantId::new(id), Load::new(load).unwrap())
     }
 
+    /// Theorem 1's fit test for a replica of `size` joining `bin` beside
+    /// `siblings` at the `γ − 1` reserve: m-fit without growth hosts.
+    fn fits_beside(p: &Placement, bin: BinId, size: f64, siblings: &[BinId]) -> bool {
+        let adjustments = siblings.iter().map(|&sibling| (sibling, size));
+        validity::fits(p, bin, p.level(bin) + size, adjustments, p.gamma() - 1)
+    }
+
     /// Two mature class-1 bins each holding one 0.35 replica of the same
     /// tenant (γ=2), mirroring a post-stage-2 state.
     fn mature_pair() -> (Placement, BinIndex, Vec<BinId>) {
@@ -182,8 +150,8 @@ mod tests {
         let b2 = p.open_bin(Some(ReplicaClass::new(1)));
         p.place_tenant(&tenant(0, 0.7), &[b1, b2]).unwrap();
         let mut mature = BinIndex::default();
-        mature.insert(b1, 1.0 - p.level(b1) - p.worst_failover(b1));
-        mature.insert(b2, 1.0 - p.level(b2) - p.worst_failover(b2));
+        mature.insert(b1, validity::margin(p.level(b1), p.worst_failover(b1)));
+        mature.insert(b2, validity::margin(p.level(b2), p.worst_failover(b2)));
         (p, mature, vec![b1, b2])
     }
 
@@ -191,8 +159,8 @@ mod tests {
     fn m_fit_respects_shared_reserve() {
         let (p, _, b) = mature_pair();
         // level 0.35, shared 0.35 with peer: slack for m-fit is 0.3.
-        assert!(m_fits(&p, b[0], 0.3, &[]));
-        assert!(!m_fits(&p, b[0], 0.31, &[]));
+        assert!(fits_beside(&p, b[0], 0.3, &[]));
+        assert!(!fits_beside(&p, b[0], 0.31, &[]));
     }
 
     #[test]
@@ -200,16 +168,16 @@ mod tests {
         let (p, _, b) = mature_pair();
         // Placing both replicas of a 0.4 tenant (replicas 0.2) on b1, b2
         // raises their mutual share to 0.55; 0.35+0.2+0.55 > 1.
-        assert!(m_fits(&p, b[0], 0.2, &[]));
-        assert!(!m_fits(&p, b[1], 0.2, &[b[0]]));
+        assert!(fits_beside(&p, b[0], 0.2, &[]));
+        assert!(!fits_beside(&p, b[1], 0.2, &[b[0]]));
         // A smaller tenant works: replicas 0.1, share 0.45, total 0.9.
-        assert!(m_fits(&p, b[1], 0.1, &[b[0]]));
+        assert!(fits_beside(&p, b[1], 0.1, &[b[0]]));
     }
 
     #[test]
     fn m_fit_rejects_plain_overflow() {
         let (p, _, b) = mature_pair();
-        assert!(!m_fits(&p, b[0], 0.7, &[]));
+        assert!(!fits_beside(&p, b[0], 0.7, &[]));
     }
 
     #[test]
@@ -292,7 +260,7 @@ mod tests {
         p.place_tenant(&tenant(1, 0.72), &[bins[2], bins[3]]).unwrap();
         let mut mature = BinIndex::default();
         for &b in &bins {
-            mature.insert(b, 1.0 - p.level(b) - p.worst_failover(b));
+            mature.insert(b, validity::margin(p.level(b), p.worst_failover(b)));
         }
         let chosen = try_stage1(
             &p,
@@ -336,10 +304,13 @@ mod tests {
         let mut p = Placement::new(gamma);
         let bins: Vec<BinId> = (0..gamma).map(|_| p.open_bin(None)).collect();
         p.place_tenant(&tenant(0, 0.4), &bins).unwrap();
-        assert!(!m_fits(&p, bins[0], 0.06, &bins[1..]), "truncated reserve admitted an overload");
+        assert!(
+            !fits_beside(&p, bins[0], 0.06, &bins[1..]),
+            "truncated reserve admitted an overload"
+        );
         // A guest that genuinely fits is still admitted: 0.4 + 12s ≤ 1
         // for s = 0.05.
-        assert!(m_fits(&p, bins[0], 0.05, &bins[1..]));
+        assert!(fits_beside(&p, bins[0], 0.05, &bins[1..]));
     }
 
     #[test]

@@ -14,12 +14,16 @@
 //! * [`ServerState::Violated`] — the worst-case failover load already
 //!   exceeds capacity (the deficit says by how much).
 //!
+//! The grade reads the same [`validity::margin`] and
+//! [`validity::is_violation`] test as [`crate::validity::check`], so the
+//! violated servers are exactly the check's violations by construction.
+//!
 //! The mitigation planner consumes a [`MonitorReport`] and drains the
 //! worst-slack servers first; telemetry gauges expose the state counts.
 
 use crate::bin::BinId;
 use crate::placement::Placement;
-use crate::EPSILON;
+use crate::validity;
 
 /// Default slack threshold below which a robust server counts as at-risk.
 ///
@@ -124,8 +128,8 @@ impl MonitorReport {
 pub fn classify_bin(placement: &Placement, bin: BinId, at_risk_slack: f64) -> ServerHealth {
     let level = placement.level(bin);
     let worst_failover = placement.worst_failover(bin);
-    let margin = 1.0 - level - worst_failover;
-    let state = if margin < -EPSILON {
+    let margin = validity::margin(level, worst_failover);
+    let state = if validity::is_violation(margin) {
         ServerState::Violated { deficit: -margin }
     } else if margin < at_risk_slack {
         ServerState::AtRisk { slack: margin.max(0.0) }

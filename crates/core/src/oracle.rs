@@ -399,7 +399,7 @@ pub fn replay_json(placement: &Placement) -> String {
 }
 
 /// A [`Consolidator`] wrapper that audits the wrapped algorithm's placement
-/// against the [`Oracle`] after every `stride`-th accepted tenant.
+/// against the [`Oracle`] after every accepted tenant.
 ///
 /// On divergence it panics with the divergence list *and* a replayable
 /// [`replay_json`] dump of the exact placement prefix, so a failing fuzz
@@ -419,7 +419,6 @@ pub fn replay_json(placement: &Placement) -> String {
 /// ```
 pub struct AuditedConsolidator {
     inner: Box<dyn Consolidator>,
-    stride: usize,
     placed: usize,
 }
 
@@ -427,7 +426,6 @@ impl std::fmt::Debug for AuditedConsolidator {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("AuditedConsolidator")
             .field("algorithm", &self.inner.name())
-            .field("stride", &self.stride)
             .finish_non_exhaustive()
     }
 }
@@ -436,21 +434,13 @@ impl AuditedConsolidator {
     /// Wraps `inner`, auditing after every placement.
     #[must_use]
     pub fn new(inner: Box<dyn Consolidator>) -> Self {
-        Self::with_stride(inner, 1)
+        AuditedConsolidator { inner, placed: 0 }
     }
 
-    /// Wraps `inner`, auditing after every `stride`-th placement (clamped
-    /// to at least 1). Larger strides trade detection granularity for
-    /// speed on long streams.
-    #[must_use]
-    pub fn with_stride(inner: Box<dyn Consolidator>, stride: usize) -> Self {
-        AuditedConsolidator { inner, stride: stride.max(1), placed: 0 }
-    }
-
-    /// Number of audits performed so far.
+    /// Number of placement audits performed so far.
     #[must_use]
     pub fn audits(&self) -> usize {
-        self.placed / self.stride
+        self.placed
     }
 
     /// Audits the current placement, panicking with a replayable dump on
@@ -491,9 +481,7 @@ impl Consolidator for AuditedConsolidator {
         let id = tenant.id();
         let outcome = self.inner.place(tenant)?;
         self.placed += 1;
-        if self.placed.is_multiple_of(self.stride) {
-            self.audit_or_panic(&format!("tenant {} (placement #{})", id.get(), self.placed));
-        }
+        self.audit_or_panic(&format!("tenant {} (placement #{})", id.get(), self.placed));
         Ok(outcome)
     }
 
@@ -579,11 +567,7 @@ impl Consolidator for AuditedConsolidator {
     }
 
     fn clone_box(&self) -> Box<dyn Consolidator> {
-        Box::new(AuditedConsolidator {
-            inner: self.inner.clone_box(),
-            stride: self.stride,
-            placed: self.placed,
-        })
+        Box::new(AuditedConsolidator { inner: self.inner.clone_box(), placed: self.placed })
     }
 
     fn placement(&self) -> &Placement {
@@ -792,13 +776,12 @@ mod tests {
 
     #[test]
     fn audited_wrapper_is_transparent() {
-        let mut audited =
-            AuditedConsolidator::with_stride(Box::new(FreshBins(Placement::new(2))), 2);
+        let mut audited = AuditedConsolidator::new(Box::new(FreshBins(Placement::new(2))));
         for id in 0..5u64 {
             let outcome = audited.place(tenant(id, 0.4)).unwrap();
             assert_eq!(outcome.bins.len(), 2);
         }
-        assert_eq!(audited.audits(), 2);
+        assert_eq!(audited.audits(), 5);
         assert_eq!(audited.gamma(), 2);
         assert_eq!(audited.placement().tenant_count(), 5);
     }

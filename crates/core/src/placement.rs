@@ -337,12 +337,6 @@ impl Placement {
         self.bins[bin.0].level
     }
 
-    /// Remaining capacity of `bin`.
-    #[must_use]
-    pub fn free(&self, bin: BinId) -> f64 {
-        1.0 - self.bins[bin.0].level
-    }
-
     /// Shared load `|a ∩ b|`: the load on `a` of replicas whose tenant also
     /// has a replica on `b`.
     #[must_use]
@@ -355,13 +349,6 @@ impl Placement {
     #[must_use]
     pub fn worst_failover(&self, bin: BinId) -> f64 {
         self.shared.worst_failover(bin)
-    }
-
-    /// [`Self::worst_failover`] as if the shared loads of `bin` with the
-    /// given peers had already been increased by the given deltas.
-    #[must_use]
-    pub fn worst_failover_with(&self, bin: BinId, adjustments: &[(BinId, f64)]) -> f64 {
-        self.shared.top_shared_sum_with(bin, adjustments, self.gamma - 1)
     }
 
     /// Sum of the `k` largest shared loads of `bin` after the tentative
@@ -377,13 +364,6 @@ impl Placement {
     #[must_use]
     pub fn top_shared_sum_with(&self, bin: BinId, adjustments: &[(BinId, f64)], k: usize) -> f64 {
         self.shared.top_shared_sum_with(bin, adjustments, k)
-    }
-
-    /// Conservative extra load redirected to `bin` when exactly the bins in
-    /// `failed` fail (each failed shared replica's full load lands here).
-    #[must_use]
-    pub fn failover_from(&self, bin: BinId, failed: &[BinId]) -> f64 {
-        self.shared.failover_from(bin, failed)
     }
 
     /// Iterates over `(peer, shared_load)` pairs for `bin`.
@@ -698,7 +678,6 @@ mod tests {
         // bin 0 shares 0.2 with bins 1 and 2, and 0.1 with bins 3 and 4;
         // γ−1 = 2 worst failures give 0.4.
         assert!((p.worst_failover(b[0]) - 0.4).abs() < 1e-12);
-        assert!((p.failover_from(b[0], &[b[1], b[3]]) - 0.3).abs() < 1e-12);
     }
 
     #[test]
@@ -711,6 +690,56 @@ mod tests {
         assert_eq!(p.tenant_bins(TenantId::new(5)), Some(&[b[0], b[1]][..]));
         assert_eq!(p.tenant_load(TenantId::new(2)), Some(0.4));
         assert_eq!(p.tenant_bins(TenantId::new(99)), None);
+    }
+
+    #[test]
+    fn arrival_order_survives_interleaved_removals() {
+        // Places and removals at the front, middle and end, and
+        // re-placements of departed ids (the largest id among them), each
+        // step compared with a `Vec` kept in order by `retain`: the order
+        // contract a faster removal must keep.
+        const MAX: u64 = u64::MAX;
+        let mut p = Placement::new(2);
+        let b: Vec<BinId> = (0..2).map(|_| p.open_bin(None)).collect();
+        let mut model: Vec<u64> = Vec::new();
+        let place = |p: &mut Placement, model: &mut Vec<u64>, id: u64| {
+            p.place_tenant(&tenant(id, 0.01), &b).unwrap();
+            model.push(id);
+        };
+        let remove = |p: &mut Placement, model: &mut Vec<u64>, id: u64| {
+            p.remove_tenant(TenantId::new(id)).unwrap();
+            model.retain(|&m| m != id);
+        };
+        let check = |p: &Placement, model: &[u64]| {
+            let order: Vec<u64> = p.tenants().map(|(id, _, _)| id.get()).collect();
+            assert_eq!(order, model);
+            assert_eq!(p.tenant_count(), model.len());
+        };
+        for id in (0..8).chain([MAX]) {
+            place(&mut p, &mut model, id);
+        }
+        for id in [0, 4, 7, MAX] {
+            remove(&mut p, &mut model, id);
+            check(&p, &model);
+        }
+        for id in [4, 0, MAX, 8] {
+            place(&mut p, &mut model, id);
+            check(&p, &model);
+        }
+        for id in [1, 2, 3, 5, 6, 4] {
+            remove(&mut p, &mut model, id);
+            check(&p, &model);
+        }
+        for id in [3, 1] {
+            place(&mut p, &mut model, id);
+            check(&p, &model);
+        }
+        for id in [0, MAX, 8, 3, 1] {
+            remove(&mut p, &mut model, id);
+            check(&p, &model);
+        }
+        place(&mut p, &mut model, 8);
+        check(&p, &model);
     }
 
     #[test]

@@ -28,7 +28,7 @@ use crate::bin::BinId;
 use crate::error::Result;
 use crate::placement::Placement;
 use crate::tenant::TenantId;
-use crate::EPSILON;
+use crate::validity;
 
 /// Cost of re-replicating after a failure event (or, when aggregated, a
 /// whole run of failure events).
@@ -73,11 +73,12 @@ pub fn orphans(placement: &Placement, failed: &[BinId]) -> Vec<(TenantId, BinId)
 /// Whether moving `tenant`'s replica from `from` to `to` keeps every
 /// involved bin within the γ−1-failure reserve.
 ///
-/// Checks the target (current level plus the incoming replica plus its
-/// reserve with the tenant's surviving siblings counted at their new
-/// shares) and every surviving sibling (whose share with `to` grows by the
-/// replica). The share still recorded with `from` is *not* subtracted — an
-/// upper bound, see the module docs.
+/// Runs Theorem 1's fit test ([`validity::fits`]) on the target, at its
+/// level plus the incoming replica with its shares to the tenant's
+/// surviving siblings raised by the replica, and on every surviving
+/// sibling, at its level with its share to `to` raised by the replica. The
+/// share still recorded with `from` is *not* subtracted — an upper bound,
+/// see the module docs.
 #[must_use]
 pub fn move_feasible(placement: &Placement, tenant: TenantId, from: BinId, to: BinId) -> bool {
     let Some(bins) = placement.tenant_bins(tenant) else {
@@ -88,15 +89,11 @@ pub fn move_feasible(placement: &Placement, tenant: TenantId, from: BinId, to: B
     }
     let load = placement.tenant_load(tenant).expect("tenant has bins, so it has a load");
     let replica = load / placement.gamma() as f64;
-    let adjustments: Vec<(BinId, f64)> =
-        bins.iter().copied().filter(|&b| b != from).map(|b| (b, replica)).collect();
-    let level = placement.level(to);
-    if level + replica + placement.worst_failover_with(to, &adjustments) > 1.0 + EPSILON {
-        return false;
-    }
-    bins.iter().filter(|&&b| b != from).all(|&b| {
-        placement.level(b) + placement.worst_failover_with(b, &[(to, replica)]) <= 1.0 + EPSILON
-    })
+    let k = placement.gamma() - 1;
+    let mut siblings = bins.iter().filter(|&&b| b != from);
+    let adjustments = siblings.clone().map(|&b| (b, replica));
+    validity::fits(placement, to, placement.level(to) + replica, adjustments, k)
+        && siblings.all(|&b| validity::fits(placement, b, placement.level(b), [(to, replica)], k))
 }
 
 /// The first candidate that is alive, distinct from the tenant's other

@@ -195,21 +195,6 @@ impl SharedIndex {
         slice.iter().take(k).map(|(v, _)| v).sum()
     }
 
-    /// Like [`Self::worst_failover`], but as if the shared loads of `bin`
-    /// with each peer in `adjustments` had already been increased by the
-    /// given deltas — an alias for [`Self::top_shared_sum_with`] at
-    /// `k = γ − 1`, kept for the adjusted-reserve tests below.
-    #[cfg(test)]
-    pub(crate) fn worst_failover_with(&self, bin: BinId, adjustments: &[(BinId, f64)]) -> f64 {
-        self.top_shared_sum_with(bin, adjustments, self.k)
-    }
-
-    /// Total shared load between `bin` and a specific set of failed peers
-    /// (the conservative failover estimate of paper §II).
-    pub(crate) fn failover_from(&self, bin: BinId, failed: &[BinId]) -> f64 {
-        failed.iter().filter(|f| **f != bin).map(|f| self.get(bin, *f)).sum()
-    }
-
     /// Iterates over `(peer, shared_load)` entries of `bin`.
     pub(crate) fn peers(&self, bin: BinId) -> impl Iterator<Item = (BinId, f64)> + '_ {
         self.map[bin.0].iter().map(|(b, v)| (*b, *v))
@@ -416,7 +401,7 @@ mod tests {
             }
             adjusted.sort_by(|x, y| y.total_cmp(x));
             let expected: f64 = adjusted.iter().take(13).sum();
-            let got = idx.worst_failover_with(bid(i), &adj);
+            let got = idx.top_shared_sum_with(bid(i), &adj, idx.k);
             assert!((got - expected).abs() < 1e-9, "bin {i}: adjusted {got} vs {expected}");
         }
     }
@@ -432,12 +417,12 @@ mod tests {
             idx.add(bid(0), bid(p), p as f64 / 100.0);
         }
         // Adjust the smallest cached peer upward by 0.001.
-        let got = idx.worst_failover_with(bid(0), &[(bid(1), 0.001)]);
+        let got = idx.top_shared_sum_with(bid(0), &[(bid(1), 0.001)], idx.k);
         let expected: f64 = (1..=13).map(|p| p as f64 / 100.0).sum::<f64>() + 0.001;
         assert!((got - expected).abs() < 1e-9, "got {got}, expected {expected}");
         // A new 14th peer below every cached entry must still be ranked
         // (it loses to the cached ones, not to buffer truncation).
-        let got = idx.worst_failover_with(bid(0), &[(bid(14), 0.005)]);
+        let got = idx.top_shared_sum_with(bid(0), &[(bid(14), 0.005)], idx.k);
         let expected: f64 = (1..=13).map(|p| p as f64 / 100.0).sum::<f64>();
         assert!((got - expected).abs() < 1e-9, "got {got}, expected {expected}");
     }
@@ -446,7 +431,7 @@ mod tests {
     fn tentative_adjustments_do_not_mutate() {
         let mut idx = index_with_bins(2, 3);
         idx.add(bid(0), bid(1), 0.2);
-        let with = idx.worst_failover_with(bid(0), &[(bid(2), 0.3)]);
+        let with = idx.top_shared_sum_with(bid(0), &[(bid(2), 0.3)], idx.k);
         assert!((with - 0.3).abs() < 1e-12);
         assert!((idx.worst_failover(bid(0)) - 0.2).abs() < 1e-12);
     }
@@ -456,7 +441,7 @@ mod tests {
         let mut idx = index_with_bins(2, 3);
         idx.add(bid(0), bid(1), 0.2);
         idx.add(bid(0), bid(2), 0.25);
-        let with = idx.worst_failover_with(bid(0), &[(bid(1), 0.1)]);
+        let with = idx.top_shared_sum_with(bid(0), &[(bid(1), 0.1)], idx.k);
         assert!((with - 0.3).abs() < 1e-12);
     }
 
@@ -467,23 +452,11 @@ mod tests {
         // larger of the two.
         let mut idx = index_with_bins(2, 3);
         idx.add(bid(0), bid(2), 0.05);
-        let f = idx.worst_failover_with(bid(0), &[(bid(1), 0.04), (bid(1), 0.03)]);
+        let f = idx.top_shared_sum_with(bid(0), &[(bid(1), 0.04), (bid(1), 0.03)], idx.k);
         assert!((f - 0.07).abs() < 1e-12, "got {f}");
         // With an existing entry for the peer, the base is included too.
         idx.add(bid(0), bid(1), 0.1);
-        let f = idx.worst_failover_with(bid(0), &[(bid(1), 0.04), (bid(1), 0.03)]);
+        let f = idx.top_shared_sum_with(bid(0), &[(bid(1), 0.04), (bid(1), 0.03)], idx.k);
         assert!((f - 0.17).abs() < 1e-12, "got {f}");
-    }
-
-    #[test]
-    fn failover_from_specific_set() {
-        let mut idx = index_with_bins(3, 4);
-        idx.add(bid(0), bid(1), 0.2);
-        idx.add(bid(0), bid(2), 0.5);
-        let f = idx.failover_from(bid(0), &[bid(1), bid(3)]);
-        assert!((f - 0.2).abs() < 1e-12);
-        // A bin in the failed set equal to the target is ignored.
-        let f = idx.failover_from(bid(0), &[bid(0), bid(2)]);
-        assert!((f - 0.5).abs() < 1e-12);
     }
 }

@@ -1,14 +1,14 @@
 //! A tiny inline-first buffer for hot-path adjustment lists.
 //!
-//! Feasibility checks ([`crate::mfit`], the baseline packers) build short
-//! lists of tentative sibling/growth adjustments inside every candidate
-//! scan. For the paper's `γ ∈ {2, 3}` these lists hold a handful of
-//! entries, so a stack array avoids allocation on the hot path — but `γ`
-//! is unbounded, and silently dropping entries past a fixed capacity
-//! under-estimates the failover reserve (the truncation bug this type
-//! exists to prevent). [`SmallBuf`] keeps the first `N` entries inline and
-//! transparently spills the whole list to a heap `Vec` when a push would
-//! overflow, so correctness never depends on the inline capacity.
+//! Theorem 1's fit test ([`crate::validity::fits`]) builds a short list of
+//! tentative adjustments inside every candidate scan. For the paper's
+//! `γ ∈ {2, 3}` these lists hold a handful of entries, so a stack array
+//! avoids allocation on the hot path — but `γ` is unbounded, and silently
+//! dropping entries past a fixed capacity under-estimates the failover
+//! reserve (the truncation bug this type exists to prevent). [`SmallBuf`]
+//! keeps the first `N` entries inline and transparently spills the whole
+//! list to a heap `Vec` when a push would overflow, so correctness never
+//! depends on the inline capacity.
 
 /// An append-only buffer holding up to `N` entries inline, spilling to the
 /// heap beyond that.

@@ -6,8 +6,13 @@
 //! largest shared-load peers, so the condition can be checked per bin in
 //! `O(1)` given the shared-load index.
 //!
-//! This module also simulates *concrete* failure events, with two
-//! redistribution semantics:
+//! CubeFit, the baselines, recovery, the monitor and mitigation all decide
+//! robustness with this module's three primitives: the fit test [`fits`],
+//! the tuple test [`tuple_fits`], and the margin [`margin`] with its
+//! violation test [`is_violation`].
+//!
+//! It also simulates *concrete* failure events, with two redistribution
+//! semantics:
 //!
 //! * [`FailoverSemantics::Conservative`] — a failed replica's full load
 //!   lands on every surviving sibling (the bound used by the robustness
@@ -18,9 +23,84 @@
 
 use crate::bin::BinId;
 use crate::placement::Placement;
+use crate::smallbuf::SmallBuf;
 use crate::tenant::TenantId;
 use crate::EPSILON;
 use std::collections::{HashMap, HashSet};
+
+/// Theorem 1's fit test for one bin: whether `bin`, at the prospective
+/// `level` and with its shared loads raised by `adjustments`, keeps
+/// `level + (sum of its k largest shared loads) ≤ 1 + ε`.
+///
+/// `k = γ − 1` is the paper's robustness reserve and `k = 1` RFI's
+/// single-failure reserve. Callers pass the level the bin would reach, for
+/// example its current level plus an incoming replica. Adjustments that
+/// name the same peer add up, and one that names `bin` itself is ignored
+/// (a bin shares no load with itself), so a whole tentative server set can
+/// stand for a bin's siblings. Adjustments are collected only once `level`
+/// alone fits, so a bin that is already too full costs no reserve query;
+/// their buffer spills to the heap past its inline capacity, because
+/// dropping an entry at large `γ` would shrink the reserve (DESIGN.md §9).
+///
+/// ```
+/// use cubefit_core::{validity, Load, Placement, Tenant, TenantId};
+///
+/// # fn main() -> Result<(), cubefit_core::Error> {
+/// let mut p = Placement::new(2);
+/// let (s1, s2) = (p.open_bin(None), p.open_bin(None));
+/// p.place_tenant(&Tenant::new(TenantId::new(0), Load::new(0.7)?), &[s1, s2])?;
+/// // s1 is at level 0.35 sharing 0.35 with s2: a 0.3 replica still fits
+/// // (0.35+0.3+0.35 ≤ 1) but a 0.31 replica does not.
+/// assert!(validity::fits(&p, s1, p.level(s1) + 0.3, [], 1));
+/// assert!(!validity::fits(&p, s1, p.level(s1) + 0.31, [], 1));
+/// # Ok(())
+/// # }
+/// ```
+#[must_use]
+pub fn fits(
+    placement: &Placement,
+    bin: BinId,
+    level: f64,
+    adjustments: impl IntoIterator<Item = (BinId, f64)>,
+    k: usize,
+) -> bool {
+    if level > 1.0 + EPSILON {
+        return false;
+    }
+    let mut buffer: SmallBuf<(BinId, f64), 8> = SmallBuf::new((BinId::new(0), 0.0));
+    for (peer, delta) in adjustments {
+        if peer != bin {
+            buffer.push((peer, delta));
+        }
+    }
+    level + placement.top_shared_sum_with(bin, buffer.as_slice(), k) <= 1.0 + EPSILON
+}
+
+/// Theorem 1's tuple test: whether every bin of the tentative set `bins`
+/// passes `fits_beside(bin, bins)`, the per-bin test with the whole set as
+/// the bin's siblings ([`fits`] ignores the bin itself among them).
+///
+/// Placing a tenant raises the shared load between every pair of its
+/// bins, so a set is only admissible if each bin fits beside all the
+/// others. Bins are tested in order and the first failure ends the test.
+pub fn tuple_fits(bins: &[BinId], mut fits_beside: impl FnMut(BinId, &[BinId]) -> bool) -> bool {
+    bins.iter().all(|&bin| fits_beside(bin, bins))
+}
+
+/// Theorem 1's margin of a bin at `level` with failover `reserve`:
+/// `1 − level − reserve`, the load it can still take before some failure
+/// set overloads it. [`is_violation`] says when a margin breaks Theorem 1.
+#[must_use]
+pub fn margin(level: f64, reserve: f64) -> f64 {
+    1.0 - level - reserve
+}
+
+/// Whether a [`margin`] breaks Theorem 1 by more than the capacity
+/// tolerance [`EPSILON`].
+#[must_use]
+pub fn is_violation(margin: f64) -> bool {
+    margin < -EPSILON
+}
 
 /// How a failed replica's load is redirected to surviving replicas.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -86,9 +166,9 @@ pub fn check(placement: &Placement) -> RobustnessReport {
         checked += 1;
         let level = bin.level();
         let failover = placement.worst_failover(bin.id());
-        let margin = 1.0 - level - failover;
+        let margin = margin(level, failover);
         worst_margin = worst_margin.min(margin);
-        if margin < -EPSILON {
+        if is_violation(margin) {
             violations.push(Violation { bin: bin.id(), level, failover });
         }
     }

@@ -35,7 +35,7 @@ use crate::budget::MigrationBudget;
 use crate::plan::DefragStep;
 use cubefit_core::monitor::{classify_bin, classify_with, MonitorReport};
 use cubefit_core::recovery::move_feasible;
-use cubefit_core::{BinId, Consolidator, Placement, Result, TenantId, EPSILON};
+use cubefit_core::{validity, BinId, Consolidator, Placement, Result, TenantId, EPSILON};
 use cubefit_telemetry::{Recorder, TraceEvent};
 
 /// Servers a mitigation pass could not (fully) repair, with how bad each
@@ -196,15 +196,15 @@ pub fn move_repairs(placement: &Placement, tenant: TenantId, from: BinId, to: Bi
     affected.push(to);
     affected.sort_unstable();
     affected.dedup();
-    let before: Vec<f64> =
-        affected.iter().map(|&b| 1.0 - placement.level(b) - placement.worst_failover(b)).collect();
+    let margin = |p: &Placement, b: BinId| validity::margin(p.level(b), p.worst_failover(b));
+    let before: Vec<f64> = affected.iter().map(|&b| margin(placement, b)).collect();
     let mut trial = placement.clone();
     if trial.move_replica(tenant, from, to).is_err() {
         return false;
     }
     affected.iter().zip(before).all(|(&b, old)| {
-        let new = 1.0 - trial.level(b) - trial.worst_failover(b);
-        new >= -EPSILON || new >= old - EPSILON
+        let new = margin(&trial, b);
+        !validity::is_violation(new) || new >= old - EPSILON
     })
 }
 

@@ -192,7 +192,7 @@ pub fn run_failure_experiment(config: &FailureExperimentConfig) -> Result<Failur
         p99_seconds: report.worst_server_p99(),
         cluster_p99_seconds: report.p99(),
         mean_seconds: report.mean(),
-        sla_violated: impact.max_load() > 1.0 + cubefit_core::EPSILON,
+        sla_violated: impact.has_overload(),
         unavailable_clients: unavailable,
         worst_model_load: impact.max_load(),
     })
