@@ -97,8 +97,7 @@ fn main() {
     }
 
     println!("{}", table.render());
-    println!("servers closed saturates once the budget covers every drainable bin;");
-    println!("the planner's wall time stays in the microsecond range throughout.");
+    println!("servers closed saturates once the budget covers every drainable bin.");
     write_json(
         "BENCH_defrag",
         &serde_json::json!({

@@ -96,7 +96,7 @@ pub use error::{Error, Result};
 pub use load::Load;
 pub use monitor::{MonitorReport, ServerHealth, ServerState};
 pub use oracle::{AuditedConsolidator, Divergence, DivergenceKind, Oracle};
-pub use placement::{FragmentationStats, Placement, PlacementStats};
+pub use placement::{FragmentationStats, MoveUndo, Placement, PlacementStats};
 pub use recovery::RecoveryReport;
 pub use tenant::{Tenant, TenantId};
 pub use validity::{FailureImpact, RobustnessReport};

@@ -2,17 +2,37 @@
 
 use crate::bin::{BinClass, BinData, BinId, BinSnapshot};
 use crate::error::{Error, Result};
-use crate::shared::SharedIndex;
+use crate::shared::{SharedIndex, SharedUndo};
 use crate::tenant::{Tenant, TenantId};
 use std::collections::HashMap;
 
-/// A tenant's record inside a placement.
+/// A tenant's record inside a placement, kept at 32 bytes (the bins are a
+/// boxed slice, not a `Vec`) because a fleet holds one per tenant.
 #[derive(Debug, Clone)]
 pub(crate) struct TenantRecord {
     /// The tenant's full load (each replica carries `load / γ`).
     pub load: f64,
     /// The `γ` bins hosting the tenant's replicas.
-    pub bins: Vec<BinId>,
+    pub bins: Box<[BinId]>,
+    /// The tenant's index in [`Placement`]'s arrival order.
+    pub slot: usize,
+}
+
+/// What [`Placement::move_replica_undoable`] overwrote, so that
+/// [`Placement::undo_move`] can put it back bit for bit.
+#[derive(Debug)]
+#[must_use = "a move is only undoable through its undo record"]
+pub struct MoveUndo {
+    tenant: TenantId,
+    from: BinId,
+    to: BinId,
+    /// Where the replica sat in `from`'s content list, and the entry.
+    source_position: usize,
+    source_entry: (TenantId, f64),
+    source_level: f64,
+    target_level: f64,
+    nonempty_bins: usize,
+    shared: SharedUndo,
 }
 
 /// The assignment of tenant replicas to bins, with incremental bookkeeping
@@ -39,6 +59,9 @@ pub struct Placement {
     gamma: usize,
     bins: Vec<BinData>,
     tenants: HashMap<TenantId, TenantRecord>,
+    /// Tenants in arrival order. A slot is live only while its id's
+    /// record points back at it: a removed tenant's id stays in its slot,
+    /// dead, until the next compaction.
     arrival_order: Vec<TenantId>,
     shared: SharedIndex,
     total_load: f64,
@@ -128,8 +151,12 @@ impl Placement {
             }
         }
         self.total_load += tenant.load().get();
-        self.tenants
-            .insert(tenant.id(), TenantRecord { load: tenant.load().get(), bins: bins.to_vec() });
+        let record = TenantRecord {
+            load: tenant.load().get(),
+            bins: bins.into(),
+            slot: self.arrival_order.len(),
+        };
+        self.tenants.insert(tenant.id(), record);
         self.arrival_order.push(tenant.id());
         Ok(())
     }
@@ -142,6 +169,11 @@ impl Placement {
     /// Returns the removed tenant's load and hosting bins so callers
     /// (algorithms with derived indexes) can re-key exactly the affected
     /// bins.
+    ///
+    /// The tenant's arrival-order slot is left dead, so removal costs
+    /// `O(γ)` plus the shared-load rows, not a scan of every tenant; once
+    /// dead slots exceed a quarter of the live tenants, one in-order pass
+    /// drops them (`O(1)` amortized).
     ///
     /// # Errors
     ///
@@ -162,8 +194,25 @@ impl Placement {
             }
         }
         self.total_load = (self.total_load - record.load).max(0.0);
-        self.arrival_order.retain(|id| *id != tenant);
-        Ok((record.load, record.bins))
+        if self.arrival_order.len() - self.tenants.len() > self.tenants.len() / 4 {
+            self.compact_arrival_order();
+        }
+        Ok((record.load, record.bins.into_vec()))
+    }
+
+    /// Drops the dead slots from the arrival order, keeping the live
+    /// tenants in order and re-pointing their records' slots.
+    fn compact_arrival_order(&mut self) {
+        let mut kept = 0;
+        for slot in 0..self.arrival_order.len() {
+            let id = self.arrival_order[slot];
+            if let Some(record) = self.tenants.get_mut(&id).filter(|r| r.slot == slot) {
+                record.slot = kept;
+                self.arrival_order[kept] = id;
+                kept += 1;
+            }
+        }
+        self.arrival_order.truncate(kept);
     }
 
     /// Re-estimates `tenant`'s load in place: every one of its `γ` replicas
@@ -191,7 +240,7 @@ impl Placement {
         let new_load = crate::load::Load::new(new_load)?.get();
         let record = self.tenants.get(&tenant).ok_or(Error::UnknownTenant { tenant })?;
         let old_load = record.load;
-        let bins = record.bins.clone();
+        let bins = record.bins.to_vec();
         let delta = (new_load - old_load) / self.gamma as f64;
         for (i, &bin) in bins.iter().enumerate() {
             let data = &mut self.bins[bin.0];
@@ -228,20 +277,7 @@ impl Placement {
     ///   `to` already does (replicas need distinct servers), or `to` does
     ///   not exist.
     pub fn move_replica(&mut self, tenant: TenantId, from: BinId, to: BinId) -> Result<()> {
-        let record = self.tenants.get(&tenant).ok_or(Error::UnknownTenant { tenant })?;
-        if to.0 >= self.bins.len() {
-            return Err(Error::InternalInvariant { detail: format!("{to} does not exist") });
-        }
-        if !record.bins.contains(&from) {
-            return Err(Error::InternalInvariant {
-                detail: format!("tenant {tenant} has no replica on {from}"),
-            });
-        }
-        if record.bins.contains(&to) {
-            return Err(Error::InternalInvariant {
-                detail: format!("tenant {tenant} already has a replica on {to}"),
-            });
-        }
+        let record = self.check_move(tenant, from, to)?;
         let replica = record.load / self.gamma as f64;
         let siblings: Vec<BinId> = record.bins.iter().copied().filter(|&b| b != from).collect();
         let source = &mut self.bins[from.0];
@@ -262,12 +298,95 @@ impl Placement {
             self.shared.add(to, sibling, replica);
         }
         let record = self.tenants.get_mut(&tenant).expect("checked above");
-        for bin in &mut record.bins {
+        for bin in record.bins.iter_mut() {
             if *bin == from {
                 *bin = to;
             }
         }
         Ok(())
+    }
+
+    /// [`Self::move_replica`], returning what the move overwrote so that
+    /// [`Self::undo_move`] can restore it exactly. A planner can then try
+    /// moves on one working copy instead of cloning the placement.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::move_replica`]; a failed move changes nothing.
+    pub fn move_replica_undoable(
+        &mut self,
+        tenant: TenantId,
+        from: BinId,
+        to: BinId,
+    ) -> Result<MoveUndo> {
+        let record = self.check_move(tenant, from, to)?;
+        let siblings: Vec<BinId> = record.bins.iter().copied().filter(|&b| b != from).collect();
+        let source = &self.bins[from.0];
+        let source_position = source
+            .contents
+            .iter()
+            .position(|(id, _)| *id == tenant)
+            .expect("a tenant's bins host its replicas");
+        let undo = MoveUndo {
+            tenant,
+            from,
+            to,
+            source_position,
+            source_entry: source.contents[source_position],
+            source_level: source.level,
+            target_level: self.bins[to.0].level,
+            nonempty_bins: self.nonempty_bins,
+            shared: self.shared.save_move(from, to, &siblings),
+        };
+        self.move_replica(tenant, from, to)?;
+        Ok(undo)
+    }
+
+    /// Reverts the move `undo` was returned for, bit for bit: both bins'
+    /// levels and content lists (order included), the shared loads
+    /// between either endpoint and each sibling in both rows (including
+    /// entries the move deleted), those rows' top caches, the tenant's bin
+    /// order and the open-bin count.
+    ///
+    /// Undo moves in the reverse order they were made, with no other
+    /// mutation in between; anything else restores a state that never
+    /// existed.
+    pub fn undo_move(&mut self, undo: MoveUndo) {
+        let target = &mut self.bins[undo.to.0];
+        let moved = target.contents.pop();
+        debug_assert_eq!(moved.map(|(id, _)| id), Some(undo.tenant), "undo out of order");
+        target.level = undo.target_level;
+        let source = &mut self.bins[undo.from.0];
+        source.contents.insert(undo.source_position, undo.source_entry);
+        source.level = undo.source_level;
+        self.nonempty_bins = undo.nonempty_bins;
+        self.shared.restore(undo.shared);
+        let record = self.tenants.get_mut(&undo.tenant).expect("undo follows its move");
+        for bin in record.bins.iter_mut() {
+            if *bin == undo.to {
+                *bin = undo.from;
+            }
+        }
+    }
+
+    /// The tenant's record, if moving its replica from `from` to `to` is
+    /// a valid move.
+    fn check_move(&self, tenant: TenantId, from: BinId, to: BinId) -> Result<&TenantRecord> {
+        let record = self.tenants.get(&tenant).ok_or(Error::UnknownTenant { tenant })?;
+        if to.0 >= self.bins.len() {
+            return Err(Error::InternalInvariant { detail: format!("{to} does not exist") });
+        }
+        if !record.bins.contains(&from) {
+            return Err(Error::InternalInvariant {
+                detail: format!("tenant {tenant} has no replica on {from}"),
+            });
+        }
+        if record.bins.contains(&to) {
+            return Err(Error::InternalInvariant {
+                detail: format!("tenant {tenant} already has a replica on {to}"),
+            });
+        }
+        Ok(record)
     }
 
     /// Read-only view of one bin.
@@ -313,7 +432,14 @@ impl Placement {
     /// The bins hosting `tenant`'s replicas, or `None` if unknown.
     #[must_use]
     pub fn tenant_bins(&self, tenant: TenantId) -> Option<&[BinId]> {
-        self.tenants.get(&tenant).map(|r| r.bins.as_slice())
+        self.tenants.get(&tenant).map(|r| &*r.bins)
+    }
+
+    /// `tenant`'s position in the arrival order, or `None` if unknown.
+    /// Positions order tenants by arrival; they shift at compaction, so
+    /// compare them only between mutations.
+    pub(crate) fn arrival_slot(&self, tenant: TenantId) -> Option<usize> {
+        self.tenants.get(&tenant).map(|r| r.slot)
     }
 
     /// The full load of `tenant`, or `None` if unknown.
@@ -325,9 +451,9 @@ impl Placement {
     /// Iterates over placed tenants in arrival order as
     /// `(id, load, hosting_bins)`.
     pub fn tenants(&self) -> impl Iterator<Item = (TenantId, f64, &[BinId])> {
-        self.arrival_order.iter().map(move |id| {
-            let rec = &self.tenants[id];
-            (*id, rec.load, rec.bins.as_slice())
+        self.arrival_order.iter().enumerate().filter_map(move |(slot, id)| {
+            let rec = self.tenants.get(id).filter(|r| r.slot == slot)?;
+            Some((*id, rec.load, &*rec.bins))
         })
     }
 
@@ -740,6 +866,142 @@ mod tests {
         }
         place(&mut p, &mut model, 8);
         check(&p, &model);
+
+        // A seeded run over a small id pool: each draw places the id or,
+        // if it is live, removes it, so departed ids are re-placed while
+        // their dead slots remain, and many compactions are crossed.
+        let mut seed = 0x5eed_u64;
+        let mut next = || {
+            seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            seed >> 33
+        };
+        let mut compactions = 0;
+        for _ in 0..4_000 {
+            let id = next() % 400;
+            if model.contains(&id) {
+                let slots = p.arrival_order.len();
+                remove(&mut p, &mut model, id);
+                if p.arrival_order.len() < slots {
+                    // Dead slots whose id was placed again go too.
+                    assert_eq!(p.arrival_order.len(), model.len());
+                    compactions += 1;
+                }
+            } else {
+                place(&mut p, &mut model, id);
+            }
+            check(&p, &model);
+        }
+        assert!(compactions >= 20, "only {compactions} compactions");
+    }
+
+    #[test]
+    fn tenant_record_stays_32_bytes() {
+        // A fleet holds one record per tenant (bulk placement: 1M).
+        assert_eq!(std::mem::size_of::<TenantRecord>(), 32);
+        assert_eq!(std::mem::size_of::<TenantId>(), 8);
+    }
+
+    /// Everything a move may touch, as bits: levels and content lists,
+    /// tenants with their bin order, every shared-load row (sorted by
+    /// peer) and top cache, the open-bin count and the total load.
+    #[allow(clippy::type_complexity)]
+    fn exact_state(
+        p: &Placement,
+    ) -> (
+        Vec<(u64, Vec<(TenantId, u64)>)>,
+        Vec<(TenantId, u64, Vec<BinId>)>,
+        Vec<Vec<(BinId, u64)>>,
+        Vec<Vec<(u64, BinId)>>,
+        usize,
+        u64,
+    ) {
+        let bins = p
+            .bins()
+            .map(|b| {
+                let contents = b.contents().iter().map(|&(t, l)| (t, l.to_bits())).collect();
+                (b.level().to_bits(), contents)
+            })
+            .collect();
+        let tenants = p.tenants().map(|(t, l, bins)| (t, l.to_bits(), bins.to_vec())).collect();
+        let rows = p
+            .bins()
+            .map(|b| {
+                let mut row: Vec<(BinId, u64)> =
+                    p.shared_peers(b.id()).map(|(peer, v)| (peer, v.to_bits())).collect();
+                row.sort_unstable();
+                row
+            })
+            .collect();
+        let tops = p
+            .bins()
+            .map(|b| p.shared.top_entries(b.id()).iter().map(|&(v, q)| (v.to_bits(), q)).collect())
+            .collect();
+        (bins, tenants, rows, tops, p.open_bins(), p.total_load().to_bits())
+    }
+
+    #[test]
+    fn undone_moves_restore_the_placement_bit_for_bit() {
+        // A churned γ = 3 placement (removals, load re-estimates, empty
+        // bins); runs of up to five moves, undone in reverse, must leave
+        // exactly the state a clone taken before the run holds.
+        let mut seed = 0x0dd_ba11_u64;
+        let mut next = |bound: usize| {
+            seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (seed >> 33) as usize % bound
+        };
+        let mut p = Placement::new(3);
+        let b: Vec<BinId> = (0..14).map(|_| p.open_bin(None)).collect();
+        let mut live: Vec<u64> = Vec::new();
+        for id in 0..60u64 {
+            let mut bins: Vec<BinId> = Vec::new();
+            while bins.len() < 3 {
+                let bin = b[next(12)];
+                if !bins.contains(&bin) {
+                    bins.push(bin);
+                }
+            }
+            p.place_tenant(&tenant(id, 0.01 + next(30) as f64 / 100.0), &bins).unwrap();
+            live.push(id);
+        }
+        for _ in 0..25 {
+            let id = live.swap_remove(next(live.len()));
+            p.remove_tenant(TenantId::new(id)).unwrap();
+        }
+        for &id in live.iter().step_by(3) {
+            p.update_load(TenantId::new(id), 0.02 + next(20) as f64 / 100.0).unwrap();
+        }
+        // The only resident of b12 (b13 stays empty).
+        p.place_tenant(&tenant(100, 0.3), &[b[12], b[0], b[1]]).unwrap();
+        live.push(100);
+        let (mut opened, mut closed) = (false, false);
+        for round in 0..200 {
+            let clone = p.clone();
+            let before = exact_state(&p);
+            let mut log = Vec::new();
+            for _ in 0..=round % 5 {
+                let t = TenantId::new(live[next(live.len())]);
+                let hosts = p.tenant_bins(t).unwrap().to_vec();
+                let from = hosts[next(hosts.len())];
+                let to = loop {
+                    let to = b[next(b.len())];
+                    if !hosts.contains(&to) {
+                        break to;
+                    }
+                };
+                let open = p.open_bins();
+                log.push(p.move_replica_undoable(t, from, to).unwrap());
+                opened |= p.open_bins() > open;
+                closed |= p.open_bins() < open;
+            }
+            assert!(p.move_replica_undoable(TenantId::new(999), b[0], b[1]).is_err());
+            while let Some(undo) = log.pop() {
+                p.undo_move(undo);
+            }
+            assert_eq!(exact_state(&p), before, "round {round}");
+            assert_eq!(exact_state(&clone), before);
+        }
+        assert!(opened && closed, "moves must fill empty bins and empty others");
+        assert!(crate::oracle::audit(&p).is_ok());
     }
 
     #[test]

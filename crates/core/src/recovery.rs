@@ -56,16 +56,28 @@ impl RecoveryReport {
 }
 
 /// The `(tenant, failed bin)` replicas orphaned by failing `failed`, in
-/// tenant arrival order (a deterministic recovery schedule).
+/// tenant arrival order (a deterministic recovery schedule), each tenant's
+/// failed bins in the order its record lists them.
+///
+/// The residents come from the failed bins' content lists, so the cost
+/// grows with the orphans, not the fleet. A content list is not in
+/// arrival order (a replica moved in is appended), so the residents are
+/// sorted by arrival. Ids at or past [`Placement::created_bins`] host
+/// nothing, and a bin listed twice orphans each replica once.
 #[must_use]
 pub fn orphans(placement: &Placement, failed: &[BinId]) -> Vec<(TenantId, BinId)> {
+    let mut residents: Vec<(usize, TenantId)> = failed
+        .iter()
+        .filter(|bin| bin.index() < placement.created_bins())
+        .flat_map(|&bin| placement.bin(bin).contents())
+        .map(|&(tenant, _)| (placement.arrival_slot(tenant).expect("residents are placed"), tenant))
+        .collect();
+    residents.sort_unstable();
+    residents.dedup();
     let mut out = Vec::new();
-    for (id, _, bins) in placement.tenants() {
-        for &bin in bins {
-            if failed.contains(&bin) {
-                out.push((id, bin));
-            }
-        }
+    for (_, tenant) in residents {
+        let bins = placement.tenant_bins(tenant).expect("residents are placed");
+        out.extend(bins.iter().filter(|bin| failed.contains(bin)).map(|&bin| (tenant, bin)));
     }
     out
 }
@@ -136,12 +148,12 @@ pub fn recover_replicas<C>(
     mut after_move: impl FnMut(&mut C, &Placement, TenantId, BinId, BinId, f64),
 ) -> Result<RecoveryReport> {
     let orphan_list = orphans(placement, failed);
-    let mut report = RecoveryReport::default();
-    let mut affected: Vec<TenantId> = Vec::new();
+    let mut report = RecoveryReport {
+        // The list holds each tenant's orphans together.
+        tenants_affected: orphan_list.chunk_by(|a, b| a.0 == b.0).count(),
+        ..RecoveryReport::default()
+    };
     for (tenant, from) in orphan_list {
-        if !affected.contains(&tenant) {
-            affected.push(tenant);
-        }
         let load = placement.tenant_load(tenant).expect("orphaned tenants are placed");
         let replica = load / placement.gamma() as f64;
         let to = match pick(&mut context, placement, tenant, from, replica) {
@@ -156,7 +168,6 @@ pub fn recover_replicas<C>(
         report.moved_load += replica;
         after_move(&mut context, placement, tenant, from, to, replica);
     }
-    report.tenants_affected = affected.len();
     Ok(report)
 }
 
@@ -184,6 +195,36 @@ mod tests {
         let got = orphans(&p, &[b[0]]);
         assert_eq!(got, vec![(TenantId::new(3), b[0]), (TenantId::new(1), b[0])]);
         assert!(orphans(&p, &[]).is_empty());
+
+        // Inputs a read in content order gets wrong, each also checked
+        // against the definition: a walk over every tenant in arrival order.
+        let walk = |p: &Placement, failed: &[BinId]| -> Vec<(TenantId, BinId)> {
+            let mut out = Vec::new();
+            for (id, _, bins) in p.tenants() {
+                out.extend(bins.iter().filter(|b| failed.contains(b)).map(|&b| (id, b)));
+            }
+            out
+        };
+        let t = TenantId::new;
+        // Tenant 3 arrived first but its replica moves into b3 after
+        // tenant 2's: b3 lists 2 before 3.
+        p.move_replica(t(3), b[1], b[3]).unwrap();
+        assert_eq!(p.bin(b[3]).contents()[0].0, t(2));
+        assert_eq!(orphans(&p, &[b[3]]), vec![(t(3), b[3]), (t(2), b[3])]);
+        // Two failed bins share tenant 2; they are listed out of order,
+        // one of them twice, beside an id no bin has.
+        let failed = [b[3], b[2], b[3], BinId::new(99)];
+        let want = vec![(t(3), b[3]), (t(1), b[2]), (t(2), b[2]), (t(2), b[3])];
+        assert_eq!(orphans(&p, &failed), want);
+        assert_eq!(walk(&p, &failed), want);
+        // A removed and re-placed id arrives last, and its bins come in
+        // its record's order (b3 before b0).
+        p.remove_tenant(t(3)).unwrap();
+        p.place_tenant(&tenant(3, 0.2), &[b[3], b[0]]).unwrap();
+        let failed = [b[0], b[3]];
+        let want = vec![(t(1), b[0]), (t(2), b[3]), (t(3), b[3]), (t(3), b[0])];
+        assert_eq!(orphans(&p, &failed), want);
+        assert_eq!(walk(&p, &failed), want);
     }
 
     #[test]

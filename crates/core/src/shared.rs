@@ -77,6 +77,15 @@ impl TopK {
     }
 }
 
+/// What a replica move is about to overwrite in a [`SharedIndex`]: the
+/// entries it touches (`None` where an entry is absent) and the top
+/// caches of the bins it touches.
+#[derive(Debug)]
+pub(crate) struct SharedUndo {
+    entries: Vec<(BinId, BinId, Option<f64>)>,
+    tops: Vec<(BinId, TopK)>,
+}
+
 /// Symmetric shared-load matrix with `O(1)` worst-failover queries.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct SharedIndex {
@@ -193,6 +202,40 @@ impl SharedIndex {
         let slice = candidates.as_mut_slice();
         slice.sort_unstable_by(|a, b| b.0.total_cmp(&a.0));
         slice.iter().take(k).map(|(v, _)| v).sum()
+    }
+
+    /// Saves what moving a replica from `from` to `to` changes: the shares
+    /// between either endpoint and each of `siblings`, in both rows, and
+    /// the top caches of all of those bins.
+    pub(crate) fn save_move(&self, from: BinId, to: BinId, siblings: &[BinId]) -> SharedUndo {
+        let mut entries = Vec::with_capacity(4 * siblings.len());
+        for &s in siblings {
+            for (x, y) in [(from, s), (s, from), (to, s), (s, to)] {
+                entries.push((x, y, self.map[x.0].get(&y).copied()));
+            }
+        }
+        let tops =
+            [from, to].iter().chain(siblings).map(|&b| (b, self.tops[b.0].clone())).collect();
+        SharedUndo { entries, tops }
+    }
+
+    /// Puts back what [`SharedIndex::save_move`] saved.
+    pub(crate) fn restore(&mut self, undo: SharedUndo) {
+        for (x, y, value) in undo.entries {
+            match value {
+                Some(v) => self.map[x.0].insert(y, v),
+                None => self.map[x.0].remove(&y),
+            };
+        }
+        for (bin, top) in undo.tops {
+            self.tops[bin.0] = top;
+        }
+    }
+
+    /// The top cache of `bin`, as `(load, peer)` pairs.
+    #[cfg(test)]
+    pub(crate) fn top_entries(&self, bin: BinId) -> &[(f64, BinId)] {
+        &self.tops[bin.0].entries
     }
 
     /// Iterates over `(peer, shared_load)` entries of `bin`.

@@ -12,7 +12,7 @@
 //! drains best-net-first, skipping anything unprofitable.
 
 use crate::budget::MigrationBudget;
-use crate::plan::{drain_bin, DefragPlan, PlannedClose};
+use crate::plan::{DefragPlan, Planner};
 use cubefit_core::{BinId, Consolidator, Placement, Result};
 use cubefit_economics::{LeaseLedger, MigrationPricing};
 use cubefit_telemetry::{Recorder, TraceEvent};
@@ -105,12 +105,7 @@ pub fn plan_economic(
     pricing: &MigrationPricing,
     horizon_ms: u64,
 ) -> DefragPlan {
-    let fragmentation_before = placement.fragmentation();
-    let mut sim = placement.clone();
-    let mut steps = Vec::new();
-    let mut closes: Vec<PlannedClose> = Vec::new();
-    let mut moved_load = 0.0;
-    let mut ruled_out: Vec<BinId> = Vec::new();
+    let mut planner = Planner::new(placement);
     let mut forecast = EconomicForecast {
         horizon_ms,
         rent_saved_usd: 0.0,
@@ -119,22 +114,18 @@ pub fn plan_economic(
         skipped_unprofitable: 0,
     };
 
-    loop {
-        if !budget.admits(steps.len(), moved_load, 1, 0.0) {
-            break;
-        }
+    while budget.admits(planner.steps.len(), planner.moved_load, 1, 0.0) {
         // Score the surviving candidates and rule out the unprofitable
         // ones — their nets cannot improve later (see above).
         let mut best: Option<DrainScore> = None;
-        let candidates: Vec<BinId> = sim
-            .bins()
-            .filter(|b| b.level() > 0.0 && !ruled_out.contains(&b.id()))
-            .map(|b| b.id())
-            .collect();
-        for bin in candidates {
-            let score = drain_score(&sim, bin, ledger, pricing, horizon_ms);
+        for index in 0..planner.sim.created_bins() {
+            let bin = BinId::new(index);
+            if planner.ruled_out[index] || planner.sim.level(bin) <= 0.0 {
+                continue;
+            }
+            let score = drain_score(&planner.sim, bin, ledger, pricing, horizon_ms);
             if score.net_usd <= 0.0 {
-                ruled_out.push(bin);
+                planner.ruled_out[index] = true;
                 forecast.skipped_unprofitable += 1;
             } else if best.is_none_or(|b| {
                 score.net_usd > b.net_usd || (score.net_usd == b.net_usd && score.bin < b.bin)
@@ -143,34 +134,14 @@ pub fn plan_economic(
             }
         }
         let Some(score) = best else { break };
-        ruled_out.push(score.bin);
-        let level = sim.level(score.bin);
-        if let Some((drained, bin_steps, bin_load)) =
-            drain_bin(&sim, score.bin, &budget, steps.len(), moved_load)
-        {
-            sim = drained;
-            moved_load += bin_load;
-            steps.extend(bin_steps);
-            closes.push(PlannedClose { bin: score.bin, level });
+        planner.ruled_out[score.bin.index()] = true;
+        if planner.drain(score.bin, &budget) {
             forecast.rent_saved_usd += score.rent_saved_usd;
             forecast.migration_usd += score.migration_usd;
             forecast.net_usd += score.net_usd;
         }
     }
-
-    let fragmentation_after = sim.fragmentation();
-    DefragPlan {
-        gamma: placement.gamma(),
-        budget,
-        steps,
-        closes,
-        moved_load,
-        open_bins_before: placement.open_bins(),
-        open_bins_after: sim.open_bins(),
-        fragmentation_before,
-        fragmentation_after,
-        economics: Some(forecast),
-    }
+    planner.finish(placement, budget, Some(forecast))
 }
 
 /// Predicted-vs-realized accounting for an applied economic plan.

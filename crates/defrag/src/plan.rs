@@ -4,6 +4,8 @@
 use crate::budget::MigrationBudget;
 use cubefit_core::recovery::move_feasible;
 use cubefit_core::{BinId, FragmentationStats, Placement, TenantId};
+use std::collections::BTreeSet;
+use std::ops::Bound::{Excluded, Unbounded};
 
 /// One planned replica migration.
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
@@ -85,107 +87,161 @@ impl DefragPlan {
 
 /// Computes a defragmentation plan for `placement` under `budget`.
 ///
-/// The planner simulates on a clone: it repeatedly picks the lowest-fill
-/// open bin not yet ruled out and tries to drain *all* of its replicas into
-/// the fullest feasible survivors (largest replica first, so an undrainable
-/// bin fails fast). A bin whose drain does not complete — some replica has
-/// no feasible target, or the remaining budget cannot cover the whole
-/// bin — is abandoned without committing any of its moves. Draining only
-/// ever removes bins, and no step opens one, so the planned placement never
-/// has more open bins than the input.
+/// The planner simulates on one working copy: it repeatedly picks the
+/// lowest-fill open bin not yet ruled out (lowest id among equals) and
+/// tries to drain *all* of its replicas into the fullest feasible
+/// survivors (largest replica first, so an undrainable bin fails fast). A
+/// bin whose drain does not complete — some replica has no feasible
+/// target, or the remaining budget cannot cover the whole bin — is
+/// abandoned, and the moves it made are undone exactly. Draining only
+/// ever removes bins, and no step opens one, so the planned placement
+/// never has more open bins than the input.
 #[must_use]
 pub fn plan(placement: &Placement, budget: MigrationBudget) -> DefragPlan {
-    let fragmentation_before = placement.fragmentation();
-    let mut sim = placement.clone();
-    let mut steps: Vec<DefragStep> = Vec::new();
-    let mut closes: Vec<PlannedClose> = Vec::new();
-    let mut moved_load = 0.0;
-    let mut ruled_out: Vec<BinId> = Vec::new();
-
-    loop {
-        if !budget.admits(steps.len(), moved_load, 1, 0.0) {
+    let mut planner = Planner::new(placement);
+    // Once a bin is tried, every bin still untried is fuller or ties it
+    // at a higher id, and drains only make untried bins fuller, so the
+    // next candidate is the first untried bin after the last one.
+    let mut last = None;
+    while budget.admits(planner.steps.len(), planner.moved_load, 1, 0.0) {
+        let after = last.map_or(Unbounded, Excluded);
+        let Some(&key) =
+            planner.by_level.range((after, Unbounded)).find(|(_, b)| !planner.ruled_out[b.index()])
+        else {
             break;
-        }
-        // Lowest-fill open bin still worth trying. Once a drain succeeds,
-        // survivors only get fuller, so a bin that failed before cannot
-        // succeed later — ruled-out bins stay ruled out.
-        let candidate = sim
-            .bins()
-            .filter(|b| b.level() > 0.0 && !ruled_out.contains(&b.id()))
-            .min_by(|a, b| a.level().total_cmp(&b.level()).then(a.id().cmp(&b.id())))
-            .map(|b| (b.id(), b.level()));
-        let Some((bin, level)) = candidate else { break };
-        ruled_out.push(bin);
-        if let Some((drained, bin_steps, bin_load)) =
-            drain_bin(&sim, bin, &budget, steps.len(), moved_load)
-        {
-            sim = drained;
-            moved_load += bin_load;
-            steps.extend(bin_steps);
-            closes.push(PlannedClose { bin, level });
-        }
+        };
+        last = Some(key);
+        planner.ruled_out[key.1.index()] = true;
+        planner.drain(key.1, &budget);
     }
-
-    let fragmentation_after = sim.fragmentation();
-    DefragPlan {
-        gamma: placement.gamma(),
-        budget,
-        steps,
-        closes,
-        moved_load,
-        open_bins_before: placement.open_bins(),
-        open_bins_after: sim.open_bins(),
-        fragmentation_before,
-        fragmentation_after,
-        economics: None,
-    }
+    planner.finish(placement, budget, None)
 }
 
-/// Tries to drain every replica of `bin` on a trial clone of `sim`,
-/// returning the advanced placement and the drain's steps — or `None` if
-/// any replica lacks a feasible target or the whole bin does not fit the
-/// remaining budget (whole-bin atomicity).
-pub(crate) fn drain_bin(
-    sim: &Placement,
-    bin: BinId,
-    budget: &MigrationBudget,
-    used_moves: usize,
-    used_load: f64,
-) -> Option<(Placement, Vec<DefragStep>, f64)> {
-    let mut replicas: Vec<(TenantId, f64)> = sim.bin(bin).contents().to_vec();
-    if !budget.admits(
-        used_moves,
-        used_load,
-        replicas.len(),
-        replicas.iter().map(|(_, load)| load).sum(),
-    ) {
-        return None;
-    }
-    // Largest replica first: the hardest move fails before cheap ones are
-    // simulated, and big replicas get first pick of the remaining space.
-    replicas.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+/// The planners' working state: one copy of the input placement that
+/// drains move replicas on, and an index of its open bins by level.
+pub(crate) struct Planner {
+    pub(crate) sim: Placement,
+    /// `(level bits, bin)` for every bin with a level above 0. Levels are
+    /// non-negative, so their bits order like the values.
+    by_level: BTreeSet<(u64, BinId)>,
+    /// Bins already tried, or scored out, as drain candidates: a bin
+    /// whose drain failed cannot succeed later, because survivors only
+    /// get fuller.
+    pub(crate) ruled_out: Vec<bool>,
+    pub(crate) steps: Vec<DefragStep>,
+    closes: Vec<PlannedClose>,
+    pub(crate) moved_load: f64,
+}
 
-    let mut trial = sim.clone();
-    let mut steps = Vec::with_capacity(replicas.len());
-    let mut bin_load = 0.0;
-    for (tenant, replica) in replicas {
-        // Fullest feasible survivor first — drain into mature bins, never
-        // into the bin being emptied (`to != bin` is implied by
-        // `move_feasible` rejecting `to`s the tenant already occupies, but
-        // the filter keeps the scan honest even for level-0 edge cases).
-        let mut targets: Vec<(BinId, f64)> = trial
-            .bins()
-            .filter(|b| b.level() > 0.0 && b.id() != bin)
-            .map(|b| (b.id(), b.level()))
-            .collect();
-        targets.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-        let to =
-            targets.iter().map(|&(id, _)| id).find(|&to| move_feasible(&trial, tenant, bin, to))?;
-        trial.move_replica(tenant, bin, to).expect("move_feasible implies valid endpoints");
-        steps.push(DefragStep { tenant, from: bin, to, load: replica });
-        bin_load += replica;
+impl Planner {
+    pub(crate) fn new(placement: &Placement) -> Self {
+        let sim = placement.clone();
+        let by_level =
+            sim.bins().filter(|b| b.level() > 0.0).map(|b| (b.level().to_bits(), b.id())).collect();
+        Planner {
+            ruled_out: vec![false; sim.created_bins()],
+            by_level,
+            sim,
+            steps: Vec::new(),
+            closes: Vec::new(),
+            moved_load: 0.0,
+        }
     }
-    Some((trial, steps, bin_load))
+
+    /// Drains every replica of `bin` into the fullest feasible survivors
+    /// and records the steps and the close; or, when the whole bin does
+    /// not fit the remaining budget or some replica has no feasible
+    /// target, undoes what it moved and returns `false` (whole-bin
+    /// atomicity).
+    pub(crate) fn drain(&mut self, bin: BinId, budget: &MigrationBudget) -> bool {
+        let mut replicas: Vec<(TenantId, f64)> = self.sim.bin(bin).contents().to_vec();
+        let bin_load: f64 = replicas.iter().map(|(_, load)| load).sum();
+        if !budget.admits(self.steps.len(), self.moved_load, replicas.len(), bin_load) {
+            return false;
+        }
+        // Largest replica first: the hardest move fails before cheap ones
+        // are simulated, and big replicas get first pick of the space.
+        replicas.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+        let level = self.sim.level(bin);
+        let mut moves = Vec::with_capacity(replicas.len());
+        for &(tenant, _) in &replicas {
+            let Some(to) = self.target(tenant, bin) else {
+                while let Some((to, undo)) = moves.pop() {
+                    self.rekeyed([bin, to], |sim| sim.undo_move(undo));
+                }
+                return false;
+            };
+            let undo = self
+                .rekeyed([bin, to], |sim| sim.move_replica_undoable(tenant, bin, to))
+                .expect("move_feasible implies valid endpoints");
+            moves.push((to, undo));
+        }
+        let mut moved = 0.0;
+        for (&(tenant, load), &(to, _)) in replicas.iter().zip(&moves) {
+            self.steps.push(DefragStep { tenant, from: bin, to, load });
+            moved += load;
+        }
+        self.moved_load += moved;
+        self.closes.push(PlannedClose { bin, level });
+        true
+    }
+
+    /// The fullest open bin other than `bin`, lowest id among equals,
+    /// that `tenant`'s replica can move to from `bin`.
+    fn target(&self, tenant: TenantId, bin: BinId) -> Option<BinId> {
+        let mut unvisited = self.by_level.range(..);
+        while let Some(&(level, _)) = unvisited.next_back() {
+            let ties = (level, BinId::new(0))..=(level, BinId::new(usize::MAX));
+            let found = self
+                .by_level
+                .range(ties)
+                .map(|&(_, to)| to)
+                .find(|&to| to != bin && move_feasible(&self.sim, tenant, bin, to));
+            if found.is_some() {
+                return found;
+            }
+            unvisited = self.by_level.range(..(level, BinId::new(0)));
+        }
+        None
+    }
+
+    /// Runs `change` on the working copy and re-files `bins`, the only
+    /// bins whose levels it changes, in the level index.
+    fn rekeyed<R>(&mut self, bins: [BinId; 2], change: impl FnOnce(&mut Placement) -> R) -> R {
+        let old = bins.map(|bin| self.sim.level(bin));
+        let result = change(&mut self.sim);
+        for (bin, old) in bins.into_iter().zip(old) {
+            if old > 0.0 {
+                self.by_level.remove(&(old.to_bits(), bin));
+            }
+            let new = self.sim.level(bin);
+            if new > 0.0 {
+                self.by_level.insert((new.to_bits(), bin));
+            }
+        }
+        result
+    }
+
+    /// The plan of everything drained so far.
+    pub(crate) fn finish(
+        self,
+        placement: &Placement,
+        budget: MigrationBudget,
+        economics: Option<crate::economic::EconomicForecast>,
+    ) -> DefragPlan {
+        DefragPlan {
+            gamma: placement.gamma(),
+            budget,
+            steps: self.steps,
+            closes: self.closes,
+            moved_load: self.moved_load,
+            open_bins_before: placement.open_bins(),
+            open_bins_after: self.sim.open_bins(),
+            fragmentation_before: placement.fragmentation(),
+            fragmentation_after: self.sim.fragmentation(),
+            economics,
+        }
+    }
 }
 
 #[cfg(test)]

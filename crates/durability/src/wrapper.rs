@@ -126,9 +126,9 @@ impl Consolidator for JournaledConsolidator {
     fn recover(&mut self, failed: &[BinId]) -> Result<RecoveryReport> {
         // The report carries only counts; reconstruct the actual replica
         // moves by diffing each orphaned tenant's bins across the call.
-        // The affected set comes from the failed bins' resident lists —
-        // O(orphaned replicas), where a `recovery::orphans` call would
-        // rescan every placed tenant on each failure event.
+        // The affected set is the failed bins' residents ordered by tenant
+        // id, not `recovery::orphans`' arrival order: that id order fixes
+        // the move order in the journal's Recover record.
         let placement = self.inner.placement();
         let mut affected: Vec<TenantId> = failed
             .iter()
