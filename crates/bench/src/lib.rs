@@ -89,7 +89,7 @@ pub fn write_json(name: &str, value: &serde_json::Value) {
         &path,
         serde_json::to_string_pretty(value).expect("serializable"),
     ) {
-        Ok(()) => println!("\nwrote {}", path.display()),
+        Ok(_) => println!("\nwrote {}", path.display()),
         Err(e) => eprintln!("could not write {}: {e}", path.display()),
     }
 }

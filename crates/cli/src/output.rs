@@ -11,7 +11,7 @@
 /// Atomically writes `contents` to `path`, formatting I/O failures as
 /// the CLI's standard `writing {path}: {error}` message.
 pub(crate) fn write_report(path: &str, contents: impl AsRef<[u8]>) -> Result<(), String> {
-    cubefit_core::write_atomic(path, contents).map_err(|e| format!("writing {path}: {e}"))
+    cubefit_core::write_atomic(path, contents).map(drop).map_err(|e| format!("writing {path}: {e}"))
 }
 
 #[cfg(test)]

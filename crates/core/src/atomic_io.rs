@@ -24,7 +24,12 @@ use std::path::Path;
 ///
 /// Propagates the underlying I/O error (annotated with the failing
 /// path), leaving the destination unchanged.
-pub fn write_atomic(path: impl AsRef<Path>, bytes: impl AsRef<[u8]>) -> std::io::Result<()> {
+///
+/// Returns the installed file, still open for writing at its end, so a
+/// caller that appends to it (a fresh journal log) holds its handle from
+/// the moment the file is in place: nothing can fail between the rename
+/// and the open.
+pub fn write_atomic(path: impl AsRef<Path>, bytes: impl AsRef<[u8]>) -> std::io::Result<File> {
     let path = path.as_ref();
     let dir = path.parent().filter(|p| !p.as_os_str().is_empty()).unwrap_or(Path::new("."));
     let file_name = path
@@ -56,7 +61,7 @@ pub fn write_atomic(path: impl AsRef<Path>, bytes: impl AsRef<[u8]>) -> std::io:
                 let _ = d.sync_all();
             }
         }
-        Ok(())
+        Ok(file)
     })();
 
     if result.is_err() {
@@ -82,6 +87,14 @@ mod tests {
         assert_eq!(fs::read(&path).unwrap(), b"first");
         write_atomic(&path, b"second, longer than the first").unwrap();
         assert_eq!(fs::read(&path).unwrap(), b"second, longer than the first");
+    }
+
+    #[test]
+    fn the_returned_handle_writes_to_the_installed_file() {
+        let path = tmp_dir().join("append.log");
+        let mut file = write_atomic(&path, b"header").unwrap();
+        file.write_all(b"+frame").unwrap();
+        assert_eq!(fs::read(&path).unwrap(), b"header+frame");
     }
 
     #[test]

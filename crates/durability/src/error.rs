@@ -58,8 +58,8 @@ pub enum DurabilityError {
     /// An append was attempted after the journal was sealed.
     Sealed,
     /// The journal was asked to do something its configuration cannot
-    /// support (e.g. journaling a γ < 2 placement, which the checkpoint
-    /// format cannot round-trip).
+    /// support (e.g. journaling a γ < 2 placement, which recovery would
+    /// refuse to read back).
     Unsupported {
         /// Why the request was refused.
         detail: String,
@@ -113,7 +113,7 @@ mod tests {
             DurabilityError::Io { path: "wal.log".into(), detail: "disk full".into() },
             DurabilityError::BadHeader { path: "wal.log".into(), detail: "bad magic".into() },
             DurabilityError::CorruptFrame { offset: 128, detail: "crc mismatch".into() },
-            DurabilityError::BadCheckpoint { path: "checkpoint.json".into(), detail: "eof".into() },
+            DurabilityError::BadCheckpoint { path: "checkpoint.log".into(), detail: "eof".into() },
             DurabilityError::BadRecord { seq: 7, detail: "unknown variant".into() },
             DurabilityError::Sealed,
             DurabilityError::Unsupported { detail: "γ must be ≥ 2".into() },

@@ -1,9 +1,11 @@
-//! On-disk framing of the write-ahead log.
+//! On-disk framing of the write-ahead log and the checkpoint.
 //!
-//! Layout:
+//! Both files share one layout: `wal.log` is the header followed by any
+//! number of frames, `checkpoint.log` the header followed by exactly one
+//! frame whose `seq` is the sequence number the snapshot covers.
 //!
 //! ```text
-//! header:  magic "CUBEWAL4" (8) | version u32 LE (4) | gamma u32 LE (4)
+//! header:  magic "CUBEWAL5" (8) | version u32 LE (4) | gamma u32 LE (4)
 //!          | header_crc u32 LE (4)
 //! frame:   len u32 LE (4) | seq u64 LE (8) | head_crc u32 LE (4) | crc u32 LE (4)
 //!          | payload (len)
@@ -19,7 +21,8 @@
 //! number — the classic misdirected-write failure — fails its checksum
 //! even when the payload itself is intact.
 //!
-//! The reader distinguishes two kinds of damage:
+//! The reader distinguishes two kinds of damage in the log (a checkpoint
+//! is installed whole, so recovery treats any damage to it as corruption):
 //!
 //! - a **torn tail** — fewer bytes than a frame header remain, or a
 //!   verified header's payload runs past the end of the log — is the
@@ -29,10 +32,10 @@
 //!   acknowledged state was damaged, surfaced as a typed error naming the
 //!   byte offset.
 
-/// File magic opening every write-ahead log.
-pub const MAGIC: &[u8; 8] = b"CUBEWAL4";
+/// File magic opening every write-ahead log and checkpoint.
+pub const MAGIC: &[u8; 8] = b"CUBEWAL5";
 /// Format version written into the header.
-pub const VERSION: u32 = 4;
+pub const VERSION: u32 = 5;
 /// Bytes of header before the first frame.
 pub const HEADER_LEN: usize = 20;
 /// Bytes of the file header covered by `header_crc` (magic, version, γ).

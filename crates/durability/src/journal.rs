@@ -2,8 +2,8 @@
 
 use crate::error::{DurabilityError, Result};
 use crate::frame::{self, HEADER_LEN};
-use crate::record::JournalRecord;
-use cubefit_core::{Placement, PlacementDump};
+use crate::record::{self, JournalRecord};
+use cubefit_core::Placement;
 use std::fs::{self, File};
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -11,8 +11,11 @@ use std::sync::{Arc, Mutex};
 
 /// File name of the write-ahead log inside a journal directory.
 pub const WAL_FILE: &str = "wal.log";
-/// File name of the checkpoint inside a journal directory.
-pub const CHECKPOINT_FILE: &str = "checkpoint.json";
+/// File name of the checkpoint inside a journal directory: the log's file
+/// header, then exactly one frame whose `seq` is the covered sequence
+/// number and whose payload is the snapshot, each live tenant as an
+/// ordinary [`JournalRecord::Place`].
+pub const CHECKPOINT_FILE: &str = "checkpoint.log";
 
 /// When appended frames are forced to stable storage.
 ///
@@ -77,84 +80,6 @@ pub struct CheckpointInfo {
     pub wal_bytes: u64,
 }
 
-/// On-disk checkpoint format: the snapshot plus the journal sequence
-/// number it covers. Frames with `seq ≤` this are skipped on replay, so
-/// a crash between writing the checkpoint and truncating the log recovers
-/// correctly in every interleaving.
-///
-/// The file holds the compact JSON, then a trailer line with the JSON's
-/// CRC-32 as eight lowercase hex digits ([`CheckpointFile::encode`]), so
-/// damage that still parses — a flipped digit in `seq` would skip live
-/// frames as already folded — is refused instead of trusted.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
-pub(crate) struct CheckpointFile {
-    /// Highest sequence number folded into the snapshot.
-    pub seq: u64,
-    /// The placement snapshot.
-    pub dump: PlacementDump,
-}
-
-/// Bytes of the checksum trailer: `\n`, eight hex digits, `\n`.
-const CHECKPOINT_TRAILER_LEN: usize = 10;
-
-impl CheckpointFile {
-    /// The on-disk bytes: [`Self::to_compact_json`] plus the CRC trailer.
-    pub(crate) fn encode(&self) -> String {
-        let mut out = self.to_compact_json();
-        let crc = frame::crc32(out.as_bytes());
-        out.push_str(&format!("\n{crc:08x}\n"));
-        out
-    }
-
-    /// Parses [`Self::encode`]'s output.
-    ///
-    /// # Errors
-    ///
-    /// Describes a missing or mismatched checksum trailer, or JSON that
-    /// does not deserialize.
-    pub(crate) fn decode(bytes: &[u8]) -> std::result::Result<Self, String> {
-        let (json, trailer) = bytes.split_at(bytes.len().saturating_sub(CHECKPOINT_TRAILER_LEN));
-        let computed = format!("\n{:08x}\n", frame::crc32(json));
-        if trailer != computed.as_bytes() {
-            let stored = std::str::from_utf8(trailer).map(str::trim).unwrap_or_default();
-            return Err(if stored.len() == 8 && stored.bytes().all(|b| b.is_ascii_hexdigit()) {
-                format!("checksum mismatch (stored {stored}, computed {})", computed.trim())
-            } else {
-                "missing checksum trailer".to_owned()
-            });
-        }
-        let json = std::str::from_utf8(json).map_err(|e| e.to_string())?;
-        serde_json::from_str(json).map_err(|e| e.to_string())
-    }
-
-    /// The exact compact JSON [`serde_json::to_string`] produces
-    /// (byte-for-byte; enforced by test). Checkpoints serialize the whole
-    /// placement at every stride, so this skips the `Value` tree the
-    /// generic serializer builds — on a few-hundred-tenant placement that
-    /// tree costs more than the fsyncs the checkpoint performs.
-    pub(crate) fn to_compact_json(&self) -> String {
-        use std::fmt::Write;
-        let mut out = String::with_capacity(64 + self.dump.tenants.len() * 64);
-        let _ = write!(
-            &mut out,
-            "{{\"seq\":{},\"dump\":{{\"gamma\":{},\"servers\":{},\"tenants\":[",
-            self.seq, self.dump.gamma, self.dump.servers
-        );
-        for (i, entry) in self.dump.tenants.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(&mut out, "{{\"tenant\":{},\"load\":", entry.tenant);
-            crate::record::push_f64(&mut out, entry.load);
-            out.push_str(",\"servers\":");
-            crate::record::push_usize_array(&mut out, &entry.servers);
-            out.push('}');
-        }
-        out.push_str("]}}");
-        out
-    }
-}
-
 #[derive(Debug)]
 struct JournalInner {
     dir: PathBuf,
@@ -191,14 +116,15 @@ impl Journal {
     ///
     /// # Errors
     ///
-    /// [`DurabilityError::Unsupported`] for γ < 2 (the checkpoint format
-    /// rebuilds through [`PlacementDump::to_placement`], which enforces
-    /// the paper's replication floor), and I/O errors creating the files.
+    /// [`DurabilityError::Unsupported`] for γ < 2 (recovery refuses a log
+    /// whose header declares γ < 2, the paper's replication floor, so such
+    /// a journal could never be read back), and I/O errors creating the
+    /// files.
     pub fn create(dir: impl AsRef<Path>, gamma: usize, policy: FsyncPolicy) -> Result<Self> {
         let dir = dir.as_ref().to_path_buf();
         if gamma < 2 {
             return Err(DurabilityError::Unsupported {
-                detail: format!("journaling requires γ ≥ 2 (checkpoint format floor), got {gamma}"),
+                detail: format!("journaling requires γ ≥ 2 (replication floor), got {gamma}"),
             });
         }
         fs::create_dir_all(&dir).map_err(|e| DurabilityError::io(&dir, &e))?;
@@ -206,11 +132,7 @@ impl Journal {
         if checkpoint.exists() {
             fs::remove_file(&checkpoint).map_err(|e| DurabilityError::io(&checkpoint, &e))?;
         }
-        let wal_path = dir.join(WAL_FILE);
-        let mut wal = File::create(&wal_path).map_err(|e| DurabilityError::io(&wal_path, &e))?;
-        wal.write_all(&frame::encode_header(gamma))
-            .and_then(|()| wal.sync_all())
-            .map_err(|e| DurabilityError::io(&wal_path, &e))?;
+        let wal = fresh_log(&dir, gamma)?;
         Ok(Journal {
             inner: Arc::new(Mutex::new(JournalInner {
                 dir,
@@ -244,9 +166,10 @@ impl Journal {
     }
 
     /// Takes a checkpoint of `placement`: writes the snapshot atomically
-    /// (temp file + fsync + rename), then truncates the log to a fresh
-    /// header. Recovery loads the snapshot and replays only frames newer
-    /// than it, so a crash anywhere in this sequence is safe.
+    /// (temp file + fsync + rename + directory fsync), then swaps in a
+    /// fresh header-only log the same way. Recovery loads the snapshot and
+    /// replays only frames newer than it, so a crash anywhere in this
+    /// sequence is safe.
     ///
     /// # Errors
     ///
@@ -259,39 +182,29 @@ impl Journal {
         if inner.sealed {
             return Err(DurabilityError::Sealed);
         }
-        let dir = inner.dir.clone();
-        let wal_path = dir.join(WAL_FILE);
         // 1. The snapshot, atomically. The WAL itself is *not* synced
         //    first: every frame the log holds is ≤ the checkpoint's seq,
         //    so once the snapshot is durable those frames are covered by
         //    it — replay never reads them. Skipping the sync avoids a
         //    full writeback of the retiring log on every checkpoint.
-        let file =
-            CheckpointFile { seq: inner.seq, dump: PlacementDump::from_placement(placement) };
-        let checkpoint_path = dir.join(CHECKPOINT_FILE);
-        cubefit_core::write_atomic(&checkpoint_path, file.encode())
+        let seq = inner.seq;
+        inner.payload_buf.clear();
+        record::encode_checkpoint(&mut inner.payload_buf, placement);
+        let mut file = frame::encode_header(inner.gamma).to_vec();
+        frame::encode_frame_into(&mut file, seq, &inner.payload_buf);
+        let checkpoint_path = inner.dir.join(CHECKPOINT_FILE);
+        cubefit_core::write_atomic(&checkpoint_path, file)
             .map_err(|e| DurabilityError::io(&checkpoint_path, &e))?;
-        // 2. A fresh header-only log, swapped in atomically. The old
-        //    frames are all ≤ the checkpoint's seq, so losing them is the
-        //    point; keeping them (crash before the rename) is also fine —
-        //    replay skips them.
-        let tmp = dir.join(format!(".{WAL_FILE}.{}.tmp", std::process::id()));
-        let mut fresh = File::create(&tmp).map_err(|e| DurabilityError::io(&tmp, &e))?;
-        fresh
-            .write_all(&frame::encode_header(inner.gamma))
-            .and_then(|()| fresh.sync_all())
-            .and_then(|()| fs::rename(&tmp, &wal_path))
-            .map_err(|e| {
-                let _ = fs::remove_file(&tmp);
-                DurabilityError::io(&wal_path, &e)
-            })?;
+        // 2. A fresh header-only log. The old frames are all ≤ the
+        //    checkpoint's seq, so losing them is the point; keeping them
+        //    (crash before the rename) is also fine — replay skips them.
+        inner.wal = fresh_log(&inner.dir, inner.gamma)?;
         let retired = inner.wal_bytes - HEADER_LEN as u64;
-        inner.wal = fresh;
         inner.wal_bytes = HEADER_LEN as u64;
         // The durable snapshot covers every frame appended so far, so the
         // fsync-policy loss window restarts here.
         inner.appends_since_sync = 0;
-        Ok(CheckpointInfo { seq: file.seq, wal_bytes: retired })
+        Ok(CheckpointInfo { seq, wal_bytes: retired })
     }
 
     /// Seals the journal: appends the clean-shutdown marker and fsyncs
@@ -371,6 +284,16 @@ impl Journal {
         // so continue rather than cascading the panic.
         self.inner.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
     }
+}
+
+/// Installs a header-only `wal.log` in `dir` with
+/// [`cubefit_core::write_atomic`], so the directory entry is durable too,
+/// and returns the handle it wrote through, positioned for appending. On
+/// failure the previous log is still in place.
+fn fresh_log(dir: &Path, gamma: usize) -> Result<File> {
+    let wal_path = dir.join(WAL_FILE);
+    cubefit_core::write_atomic(&wal_path, frame::encode_header(gamma))
+        .map_err(|e| DurabilityError::io(&wal_path, &e))
 }
 
 impl JournalInner {
@@ -488,10 +411,9 @@ mod tests {
         assert_eq!(info.seq, 1);
         assert_eq!(info.wal_bytes, before - HEADER_LEN as u64);
         assert_eq!(journal.wal_bytes(), HEADER_LEN as u64, "log truncated to a bare header");
-        let checkpoint = fs::read(dir.join(CHECKPOINT_FILE)).unwrap();
-        let parsed = CheckpointFile::decode(&checkpoint).unwrap();
-        assert_eq!(parsed.seq, 1);
-        assert_eq!(parsed.dump.tenants.len(), 1);
+        let state = crate::recover::recover(&dir).unwrap();
+        assert_eq!((state.checkpoint_seq, state.frames_replayed), (1, 0));
+        assert_eq!(state.placement.tenant_count(), 1);
         // Appends continue with the global sequence, into the fresh log.
         assert_eq!(journal.append(&JournalRecord::Remove { tenant: 1 }).unwrap(), 2);
         let bytes = fs::read(dir.join(WAL_FILE)).unwrap();
@@ -499,56 +421,6 @@ mod tests {
             panic!("fresh log must hold the post-checkpoint frame");
         };
         assert_eq!(seq, 2);
-    }
-
-    /// The hand-rolled checkpoint serializer must stay byte-identical to
-    /// the derive-driven one — recovery parses checkpoints with the
-    /// generic deserializer.
-    #[test]
-    fn checkpoint_compact_json_matches_the_generic_serializer() {
-        for file in [
-            CheckpointFile {
-                seq: 0,
-                dump: PlacementDump { gamma: 2, servers: 0, tenants: vec![] },
-            },
-            CheckpointFile {
-                seq: u64::MAX,
-                dump: PlacementDump {
-                    gamma: 3,
-                    servers: 4,
-                    tenants: vec![
-                        cubefit_core::DumpEntry { tenant: 1, load: 0.25, servers: vec![0, 1, 3] },
-                        cubefit_core::DumpEntry {
-                            tenant: 9,
-                            load: 0.123_456_789_012_345_6,
-                            servers: vec![2, 1, 0],
-                        },
-                    ],
-                },
-            },
-        ] {
-            assert_eq!(
-                file.to_compact_json(),
-                serde_json::to_string(&file).unwrap(),
-                "checkpoint format drift"
-            );
-        }
-    }
-
-    #[test]
-    fn checkpoint_trailer_refuses_damage_that_still_parses() {
-        let file = CheckpointFile {
-            seq: 1000,
-            dump: PlacementDump { gamma: 2, servers: 0, tenants: vec![] },
-        };
-        let encoded = file.encode();
-        assert_eq!(CheckpointFile::decode(encoded.as_bytes()).unwrap(), file);
-        // "seq":1000 → "seq":3000 is one bit and still valid JSON.
-        let flipped = encoded.replacen("1000", "3000", 1);
-        let err = CheckpointFile::decode(flipped.as_bytes()).unwrap_err();
-        assert!(err.contains("checksum mismatch"), "{err}");
-        let err = CheckpointFile::decode(file.to_compact_json().as_bytes()).unwrap_err();
-        assert!(err.contains("missing checksum"), "{err}");
     }
 
     #[test]

@@ -13,11 +13,13 @@
 //!   *after* it applied and *before* the caller is acknowledged; a batch
 //!   call becomes one atomic frame holding the ordinary records of the ops
 //!   that applied, so a batch that fails partway journals its prefix;
-//! * [`Journal::checkpoint`] — snapshots the placement as a
-//!   CRC-checksummed [`cubefit_core::PlacementDump`] (atomic temp-file +
-//!   rename) and truncates the log, bounding replay work;
-//! * [`recover()`] / [`recover_up_to`] — load the latest valid checkpoint
-//!   and replay the journal tail, tolerating a torn final frame (the
+//! * [`Journal::checkpoint`] — snapshots the placement in the log's own
+//!   format (the file header, then one frame holding every live tenant as
+//!   an ordinary `Place` record), installs it atomically and truncates the
+//!   log, bounding replay work;
+//! * [`recover()`] / [`recover_up_to`] — load the checkpoint with the
+//!   same header parser, frame reader and record decoder as the log, and
+//!   replay the journal tail, tolerating a torn final frame (the
 //!   expected signature of a crash mid-append: truncated with a warning,
 //!   never a panic) while refusing mid-log corruption with a typed
 //!   [`DurabilityError::CorruptFrame`] naming the byte offset.

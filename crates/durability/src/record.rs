@@ -84,29 +84,6 @@ pub enum JournalRecord {
     Seal,
 }
 
-/// Appends `v` in serde_json's float form: shortest round-trip (`{:?}`),
-/// `null` when non-finite.
-pub(crate) fn push_f64(out: &mut String, v: f64) {
-    use std::fmt::Write;
-    if v.is_finite() {
-        let _ = write!(out, "{v:?}");
-    } else {
-        out.push_str("null");
-    }
-}
-
-pub(crate) fn push_usize_array(out: &mut String, items: &[usize]) {
-    use std::fmt::Write;
-    out.push('[');
-    for (i, v) in items.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "{v}");
-    }
-    out.push(']');
-}
-
 // ---- binary payload encoding ----
 //
 // Frame payloads use a compact binary encoding, not JSON: one record is
@@ -115,7 +92,10 @@ pub(crate) fn push_usize_array(out: &mut String, items: &[usize]) {
 // `write(2)`, and fewer dirty pages for the kernel to write back. A
 // binary `Place` is ~17 bytes where its JSON form was ~85. Integers are
 // LEB128 varints and floats are IEEE-754 bits little-endian. A batch is
-// its tag, the op count, then each op's ordinary record encoding.
+// its tag, the op count, then each op's ordinary record encoding. A
+// checkpoint's snapshot is no record: it has its own tag, which the log
+// and batch decoders refuse, then the servers ever created, the tenant
+// count, and one ordinary `Place` per live tenant in arrival order.
 // Integrity is the frame CRC's job; decode errors past a valid checksum
 // mean version skew or a writer bug, not disk damage.
 
@@ -126,6 +106,7 @@ const TAG_MIGRATE: u8 = 4;
 const TAG_RECOVER: u8 = 5;
 const TAG_BATCH: u8 = 6;
 const TAG_SEAL: u8 = 8;
+const TAG_CHECKPOINT: u8 = 9;
 
 fn put_uv(out: &mut Vec<u8>, mut v: u64) {
     while v >= 0x80 {
@@ -147,6 +128,36 @@ fn put_us_slice(out: &mut Vec<u8>, items: &[usize]) {
     put_us(out, items.len());
     for &v in items {
         put_us(out, v);
+    }
+}
+
+fn put_place(
+    out: &mut Vec<u8>,
+    tenant: u64,
+    load: f64,
+    servers: impl ExactSizeIterator<Item = usize>,
+    servers_after: usize,
+) {
+    out.push(TAG_PLACE);
+    put_uv(out, tenant);
+    put_bits(out, load);
+    put_us(out, servers.len());
+    for server in servers {
+        put_us(out, server);
+    }
+    put_us(out, servers_after);
+}
+
+/// Appends the checkpoint payload of `placement`, read straight from its
+/// tenants: each `Place` carries the created-server count as its
+/// `servers_after`, so replaying it opens nothing.
+pub(crate) fn encode_checkpoint(out: &mut Vec<u8>, placement: &Placement) {
+    let servers = placement.created_bins();
+    out.push(TAG_CHECKPOINT);
+    put_us(out, servers);
+    put_us(out, placement.tenant_count());
+    for (id, load, bins) in placement.tenants() {
+        put_place(out, id.get(), load, bins.iter().map(|b| b.index()), servers);
     }
 }
 
@@ -234,11 +245,7 @@ impl JournalRecord {
     pub(crate) fn encode(&self, out: &mut Vec<u8>) {
         match self {
             JournalRecord::Place { tenant, load, servers, servers_after } => {
-                out.push(TAG_PLACE);
-                put_uv(out, *tenant);
-                put_bits(out, *load);
-                put_us_slice(out, servers);
-                put_us(out, *servers_after);
+                put_place(out, *tenant, *load, servers.iter().copied(), *servers_after);
             }
             JournalRecord::Remove { tenant } => {
                 out.push(TAG_REMOVE);
@@ -329,27 +336,57 @@ impl JournalRecord {
                     servers_after: c.us("recover servers_after")?,
                 }
             }
-            TAG_BATCH => {
-                let n = c.len("batch ops")?;
-                let mut ops = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let tag = c.byte("batch op tag")?;
-                    if !matches!(tag, TAG_PLACE | TAG_REMOVE | TAG_UPDATE_LOAD) {
-                        return Err(format!("record tag {tag} inside a batch"));
-                    }
-                    ops.push(Self::decode_body(c, tag)?);
-                }
-                JournalRecord::Batch { ops }
-            }
+            TAG_BATCH => JournalRecord::Batch {
+                ops: Self::decode_list(c, "batch", &[TAG_PLACE, TAG_REMOVE, TAG_UPDATE_LOAD])?,
+            },
             TAG_SEAL => JournalRecord::Seal,
             other => return Err(format!("unknown record tag {other}")),
         })
     }
+
+    /// Decodes a count, then that many records whose tags are in `kinds`.
+    fn decode_list(
+        c: &mut Cursor<'_>,
+        what: &str,
+        kinds: &[u8],
+    ) -> std::result::Result<Vec<JournalRecord>, String> {
+        let n = c.len(what)?;
+        let mut records = Vec::with_capacity(n);
+        for _ in 0..n {
+            let tag = c.byte(what)?;
+            if !kinds.contains(&tag) {
+                return Err(format!("record tag {tag} inside a {what}"));
+            }
+            records.push(Self::decode_body(c, tag)?);
+        }
+        Ok(records)
+    }
+}
+
+/// Decodes a checkpoint payload (format above) into the servers ever
+/// created and one `Place` per live tenant.
+///
+/// # Errors
+///
+/// As [`JournalRecord::decode`], and for a payload that is not a
+/// checkpoint's.
+pub(crate) fn decode_checkpoint(
+    payload: &[u8],
+) -> std::result::Result<(usize, Vec<JournalRecord>), String> {
+    let mut c = Cursor::new(payload);
+    let tag = c.byte("record tag")?;
+    if tag != TAG_CHECKPOINT {
+        return Err(format!("record tag {tag} where a checkpoint belongs"));
+    }
+    let servers = c.us("checkpoint servers")?;
+    let tenants = JournalRecord::decode_list(&mut c, "checkpoint", &[TAG_PLACE])?;
+    c.finish()?;
+    Ok((servers, tenants))
 }
 
 /// Opens fresh bins until the placement has created `servers_after`
 /// total, mirroring the bins the original mutation opened.
-fn raise_servers(placement: &mut Placement, servers_after: usize) {
+pub(crate) fn raise_servers(placement: &mut Placement, servers_after: usize) {
     while placement.created_bins() < servers_after {
         placement.open_bin(None);
     }
@@ -525,6 +562,57 @@ mod tests {
         assert!(err.contains("record tag 8 inside a batch"), "{err}");
         let err = JournalRecord::decode(&[6, 1, 6, 0]).unwrap_err();
         assert!(err.contains("record tag 6 inside a batch"), "{err}");
+        let err = JournalRecord::decode(&[6, 1, 9, 0, 0]).unwrap_err();
+        assert!(err.contains("record tag 9 inside a batch"), "{err}");
+
+        // A checkpoint payload is no log record, and the reverse.
+        let err = JournalRecord::decode(&[9, 0, 0]).unwrap_err();
+        assert!(err.contains("unknown record tag 9"), "{err}");
+        let err = decode_checkpoint(&[8]).unwrap_err();
+        assert!(err.contains("record tag 8 where a checkpoint belongs"), "{err}");
+
+        // Only places ride inside a checkpoint.
+        let err = decode_checkpoint(&[9, 2, 1, 2, 7]).unwrap_err();
+        assert!(err.contains("record tag 2 inside a checkpoint"), "{err}");
+    }
+
+    /// A checkpoint payload round-trips: it decodes to the created-server
+    /// count and a `Place` per live tenant in arrival order, which replay
+    /// to the placement it was written from, trailing empty servers
+    /// included. Cases: created servers but no tenants, and γ = 3 with a
+    /// removed tenant and a `u64::MAX` id.
+    #[test]
+    fn checkpoint_payload_round_trips_through_replay() {
+        let mut bare = Placement::new(2);
+        for _ in 0..4 {
+            bare.open_bin(None);
+        }
+        let mut wide = Placement::new(3);
+        let bins: Vec<BinId> = (0..6).map(|_| wide.open_bin(None)).collect();
+        let tenant = |id: u64, load: f64| Tenant::new(TenantId::new(id), Load::new(load).unwrap());
+        wide.place_tenant(&tenant(4, 0.3), &[bins[2], bins[0], bins[1]]).unwrap();
+        wide.place_tenant(&tenant(u64::MAX, 0.6), &[bins[1], bins[3], bins[0]]).unwrap();
+        wide.place_tenant(&tenant(2, 0.15), &[bins[0], bins[1], bins[2]]).unwrap();
+        wide.remove_tenant(TenantId::new(4)).unwrap();
+        let place = |tenant: u64, load: f64, servers: Vec<usize>| JournalRecord::Place {
+            tenant,
+            load,
+            servers,
+            servers_after: 6,
+        };
+        let cases = [
+            (bare, 4, vec![]),
+            (wide, 6, vec![place(u64::MAX, 0.6, vec![1, 3, 0]), place(2, 0.15, vec![0, 1, 2])]),
+        ];
+        for (live, servers, tenants) in cases {
+            let mut bytes = Vec::new();
+            encode_checkpoint(&mut bytes, &live);
+            assert_eq!(decode_checkpoint(&bytes).unwrap(), (servers, tenants.clone()));
+            let mut replayed = Placement::new(live.gamma());
+            raise_servers(&mut replayed, servers);
+            tenants.iter().try_for_each(|t| t.apply(&mut replayed, 1)).unwrap();
+            assert_eq!(dump_json(&replayed), dump_json(&live));
+        }
     }
 
     #[test]

@@ -4,8 +4,8 @@
 
 use crate::error::{DurabilityError, Result};
 use crate::frame::{self, FrameParse, HEADER_LEN};
-use crate::journal::{CheckpointFile, CHECKPOINT_FILE, WAL_FILE};
-use crate::record::JournalRecord;
+use crate::journal::{CHECKPOINT_FILE, WAL_FILE};
+use crate::record::{self, JournalRecord};
 use cubefit_core::{Placement, PlacementDump};
 use std::fs;
 use std::path::Path;
@@ -60,14 +60,14 @@ pub fn recover(dir: impl AsRef<Path>) -> Result<RecoveredState> {
 /// - [`DurabilityError::Io`] / [`DurabilityError::BadHeader`] when the
 ///   log is unreadable or not a journal;
 /// - [`DurabilityError::BadCheckpoint`] when the checkpoint file exists
-///   but fails its CRC, cannot be parsed or rebuilt, or predates γ
-///   changes;
+///   but its header, its one frame or its snapshot fails to verify, decode
+///   or replay, or its γ or server count differs from what it declares;
 /// - [`DurabilityError::CorruptFrame`] when a frame fails its header or
-///   payload CRC or the sequence numbers skip — acknowledged state was
-///   damaged (a torn final frame is NOT this: it is tolerated with a
-///   warning);
+///   payload CRC, the sequence numbers skip, or the log's first frame
+///   does not follow the checkpoint — acknowledged state was damaged (a
+///   torn final frame is NOT this: it is tolerated with a warning);
 /// - [`DurabilityError::BadRecord`] when a checksummed record cannot be
-///   deserialized or replayed;
+///   deserialized (a checkpoint's snapshot included) or replayed;
 /// - [`DurabilityError::Unsupported`] when `max_seq` predates the
 ///   checkpoint (the journal no longer holds those frames).
 pub fn recover_up_to(dir: impl AsRef<Path>, max_seq: u64) -> Result<RecoveredState> {
@@ -114,15 +114,16 @@ pub fn recover_up_to(dir: impl AsRef<Path>, max_seq: u64) -> Result<RecoveredSta
                 return Err(DurabilityError::CorruptFrame { offset: offset as u64, detail });
             }
             FrameParse::Frame { seq, payload, next } => {
-                if let Some(prev) = prev_seq {
-                    if seq != prev + 1 {
-                        return Err(DurabilityError::CorruptFrame {
-                            offset: pos as u64,
-                            detail: format!(
-                                "sequence jumped from {prev} to {seq}: a frame is missing"
-                            ),
-                        });
-                    }
+                // Each frame follows the one before it, and the first one
+                // follows what the checkpoint covers (seq 0 without one).
+                let after = prev_seq.unwrap_or(checkpoint_seq);
+                if prev_seq.map_or(seq > after + 1, |prev| seq != prev + 1) {
+                    return Err(DurabilityError::CorruptFrame {
+                        offset: pos as u64,
+                        detail: format!(
+                            "sequence jumped from {after} to {seq}: the frames between are missing"
+                        ),
+                    });
                 }
                 prev_seq = Some(seq);
                 if seq > max_seq {
@@ -133,11 +134,12 @@ pub fn recover_up_to(dir: impl AsRef<Path>, max_seq: u64) -> Result<RecoveredSta
                         "frame seq {seq} follows a seal — appended by a buggy or racing writer"
                     ));
                 }
+                let record = JournalRecord::decode(payload)
+                    .map_err(|detail| DurabilityError::BadRecord { seq, detail })?;
                 // Frames at or below the checkpoint seq are already folded
                 // into the snapshot (the crash window between writing the
                 // checkpoint and truncating the log leaves them behind).
                 if seq > checkpoint_seq {
-                    let record = decode(seq, payload)?;
                     if record == JournalRecord::Seal {
                         state.sealed = true;
                     } else {
@@ -169,6 +171,10 @@ fn parse_gamma(wal_path: &Path, bytes: &[u8]) -> Result<usize> {
     Ok(gamma)
 }
 
+/// Loads `checkpoint.log`: the log's file header with the log's γ, then
+/// exactly one frame holding the snapshot, whose `Place` records replay
+/// onto an empty placement with the servers it declares. Any other
+/// outcome is [`DurabilityError::BadCheckpoint`] naming what failed.
 fn load_checkpoint(dir: &Path, gamma: usize) -> Result<(Placement, u64)> {
     let path = dir.join(CHECKPOINT_FILE);
     if !path.exists() {
@@ -179,19 +185,38 @@ fn load_checkpoint(dir: &Path, gamma: usize) -> Result<(Placement, u64)> {
         detail,
     };
     let bytes = fs::read(&path).map_err(|e| DurabilityError::io(&path, &e))?;
-    let file = CheckpointFile::decode(&bytes).map_err(bad)?;
-    if file.dump.gamma != gamma {
+    let header_gamma = frame::parse_header(&bytes).map_err(bad)?;
+    if header_gamma != gamma {
         return Err(bad(format!(
-            "checkpoint γ = {} does not match the log header's γ = {gamma}",
-            file.dump.gamma
+            "checkpoint γ = {header_gamma} does not match the log header's γ = {gamma}"
         )));
     }
-    let placement = file.dump.to_placement().map_err(|e| bad(e.to_string()))?;
-    Ok((placement, file.seq))
-}
-
-fn decode(seq: u64, payload: &[u8]) -> Result<JournalRecord> {
-    JournalRecord::decode(payload).map_err(|detail| DurabilityError::BadRecord { seq, detail })
+    let (seq, payload) = match frame::next_frame(&bytes, HEADER_LEN) {
+        FrameParse::Frame { seq, payload, next } => match frame::next_frame(&bytes, next) {
+            FrameParse::End => (seq, payload),
+            _ => return Err(bad(format!("{} bytes follow its frame", bytes.len() - next))),
+        },
+        FrameParse::End => return Err(bad("no frame after the header".to_owned())),
+        FrameParse::TornTail { offset, discarded } => {
+            return Err(bad(format!("torn frame at byte {offset} ({discarded} bytes)")))
+        }
+        FrameParse::Corrupt { offset, detail } => {
+            return Err(bad(format!("corrupt frame at byte {offset}: {detail}")))
+        }
+    };
+    let (servers, tenants) = record::decode_checkpoint(payload).map_err(bad)?;
+    let mut placement = Placement::new(gamma);
+    record::raise_servers(&mut placement, servers);
+    for tenant in &tenants {
+        tenant.apply(&mut placement, seq).map_err(|e| bad(e.to_string()))?;
+    }
+    if placement.created_bins() != servers {
+        return Err(bad(format!(
+            "its tenants open {} servers, past the {servers} it declares",
+            placement.created_bins()
+        )));
+    }
+    Ok((placement, seq))
 }
 
 #[cfg(test)]
@@ -340,6 +365,114 @@ mod tests {
                 && err.to_string().contains("jumped"),
             "{err}"
         );
+    }
+
+    /// A placement with two open servers, and a journal for it in `name`.
+    fn two_servers(name: &str) -> (PathBuf, Journal, Placement) {
+        let dir = tmp_dir(name);
+        let journal = Journal::create(&dir, 2, FsyncPolicy::Never).unwrap();
+        let mut live = Placement::new(2);
+        live.open_bin(None);
+        live.open_bin(None);
+        (dir, journal, live)
+    }
+
+    /// Places tenant `id` on both servers of `live` and journals it.
+    fn place_journaled(live: &mut Placement, journal: &Journal, id: u64) {
+        let tenant = Tenant::new(TenantId::new(id), Load::new(0.1).unwrap());
+        live.place_tenant(&tenant, &[BinId::new(0), BinId::new(1)]).unwrap();
+        let record =
+            JournalRecord::Place { tenant: id, load: 0.1, servers: vec![0, 1], servers_after: 2 };
+        journal.append(&record).unwrap();
+    }
+
+    /// Splicing out the log's first frame leaves every later frame in
+    /// sequence, so only the first-frame rule can notice the loss.
+    #[test]
+    fn a_missing_first_frame_is_corruption() {
+        for (name, checkpoint_at) in [("first-gap", None), ("first-gap-cp", Some(2))] {
+            let (dir, journal, mut live) = two_servers(name);
+            for id in 1..=4 {
+                place_journaled(&mut live, &journal, id);
+                if checkpoint_at == Some(id) {
+                    journal.checkpoint(&live).unwrap();
+                }
+            }
+            journal.seal().unwrap();
+            let wal = dir.join(WAL_FILE);
+            let bytes = fs::read(&wal).unwrap();
+            let FrameParse::Frame { seq, next, .. } = frame::next_frame(&bytes, HEADER_LEN) else {
+                panic!("first frame parses");
+            };
+            let first = checkpoint_at.unwrap_or(0) + 1;
+            assert_eq!(seq, first);
+            let mut spliced = bytes[..HEADER_LEN].to_vec();
+            spliced.extend_from_slice(&bytes[next..]);
+            fs::write(&wal, &spliced).unwrap();
+            let err = recover(&dir).unwrap_err();
+            assert!(
+                matches!(err, DurabilityError::CorruptFrame { offset, ref detail }
+                    if offset == HEADER_LEN as u64
+                        && detail.contains(&format!("jumped from {} to {}", first - 1, first + 1))),
+                "{name}: {err}"
+            );
+        }
+    }
+
+    /// A crash after the checkpoint is installed but before the fresh log
+    /// replaces the retiring one leaves frames the checkpoint covers;
+    /// recovery skips them all. At the second checkpoint the retiring log
+    /// starts right after the first one.
+    #[test]
+    fn a_crash_before_the_fresh_log_recovers_the_checkpoint() {
+        let (dir, journal, mut live) = two_servers("crash-window");
+        let wal = dir.join(WAL_FILE);
+        for (round, ids) in [[1, 2], [3, 4]].into_iter().enumerate() {
+            for id in ids {
+                place_journaled(&mut live, &journal, id);
+            }
+            let retiring = fs::read(&wal).unwrap();
+            let FrameParse::Frame { seq: first, .. } = frame::next_frame(&retiring, HEADER_LEN)
+            else {
+                panic!("the retiring log holds frames");
+            };
+            assert_eq!(first, ids[0], "round {round}");
+            let info = journal.checkpoint(&live).unwrap();
+            let fresh = fs::read(&wal).unwrap();
+            fs::write(&wal, &retiring).unwrap();
+            let state = recover(&dir).unwrap();
+            assert_eq!(state.checkpoint_seq, info.seq, "round {round}");
+            assert_eq!((state.last_seq, state.frames_replayed), (info.seq, 0), "round {round}");
+            assert_eq!(
+                serde_json::to_string(&state.dump()).unwrap(),
+                dump_json(&live),
+                "round {round}"
+            );
+            fs::write(&wal, &fresh).unwrap();
+        }
+    }
+
+    /// A checkpoint whose `Place`s open servers past the count it declares
+    /// is refused rather than replayed with the extra servers.
+    #[test]
+    fn a_checkpoint_opening_undeclared_servers_is_refused() {
+        let dir = tmp_dir("undeclared-servers");
+        Journal::create(&dir, 2, FsyncPolicy::Never).unwrap();
+        for servers_after in [2, 3] {
+            let mut payload = vec![9, 2, 1]; // tag, 2 servers, 1 tenant
+            JournalRecord::Place { tenant: 7, load: 0.25, servers: vec![0, 1], servers_after }
+                .encode(&mut payload);
+            let mut file = frame::encode_header(2).to_vec();
+            frame::encode_frame_into(&mut file, 1, &payload);
+            fs::write(dir.join(CHECKPOINT_FILE), &file).unwrap();
+            match (servers_after, recover(&dir)) {
+                (2, Ok(state)) => assert_eq!(state.placement.created_bins(), 2),
+                (3, Err(DurabilityError::BadCheckpoint { detail, .. })) => {
+                    assert!(detail.contains("open 3 servers, past the 2"), "{detail}");
+                }
+                (_, other) => panic!("servers_after {servers_after}: {other:?}"),
+            }
+        }
     }
 
     #[test]

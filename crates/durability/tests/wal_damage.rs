@@ -14,11 +14,13 @@
 //!   that many acknowledged mutations — warning only when the cut fell
 //!   inside a frame.
 //!
-//! Two more sweeps cover the bytes no frame checksum protects: every bit
-//! of a `checkpoint.json` that tail frames follow (a flipped `seq` digit
-//! would skip live frames as already folded), and every bit of a
-//! frame-less `wal.log` (a flipped γ has no frame to contradict it). Each
-//! flip must be refused as a bad checkpoint or a bad header.
+//! A `checkpoint.log` that tail frames follow is swept the same way: it is
+//! installed whole, so every bit flip and every cut of it must be refused
+//! as a bad checkpoint (a flipped `seq` bit would otherwise skip live
+//! frames as already folded), and a log and a checkpoint swapped with each
+//! other are refused both ways. Every bit of a frame-less `wal.log` is
+//! flipped too, since a flipped γ has no frame to contradict it; each flip
+//! must be refused as a bad header.
 
 use cubefit_core::{
     BinId, Consolidator, CubeFit, CubeFitConfig, Load, PlacementDump, Tenant, TenantId,
@@ -135,10 +137,10 @@ fn every_bit_flip_is_refused_with_a_typed_error() {
     assert!(silent.is_empty(), "flips that recovered without an error:\n{}", silent.join("\n"));
 }
 
-#[test]
-fn every_checkpoint_bit_flip_is_refused() {
-    let dir = scratch("checkpoint-flip");
-    let journal = Journal::create(&dir, 2, FsyncPolicy::Never).unwrap();
+/// Journals three tenants, a checkpoint at seq 1, three tail frames and
+/// the seal into `dir`, and returns the live dump, which `dir` recovers.
+fn checkpointed_stream(dir: &Path) -> String {
+    let journal = Journal::create(dir, 2, FsyncPolicy::Never).unwrap();
     let config = CubeFitConfig::builder().replication(2).classes(5).build().unwrap();
     let mut live = JournaledConsolidator::new(Box::new(CubeFit::new(config)), journal.clone());
     let tenant = |load: f64| Tenant::with_load(Load::new(load).unwrap());
@@ -149,12 +151,61 @@ fn every_checkpoint_bit_flip_is_refused() {
     live.place(tenant(0.4)).unwrap();
     journal.seal().unwrap();
     let expected = dump_json(&live);
-    let state = recover(&dir).unwrap();
+    let state = recover(dir).unwrap();
     assert_eq!((state.checkpoint_seq, state.frames_replayed), (1, 3));
     assert_eq!(serde_json::to_string(&state.dump()).unwrap(), expected);
-    let misses =
-        flip_sweep(&dir, CHECKPOINT_FILE, |e| matches!(e, DurabilityError::BadCheckpoint { .. }));
+    expected
+}
+
+fn is_bad_checkpoint(e: &DurabilityError) -> bool {
+    matches!(e, DurabilityError::BadCheckpoint { .. })
+}
+
+#[test]
+fn every_checkpoint_bit_flip_is_refused() {
+    let dir = scratch("checkpoint-flip");
+    checkpointed_stream(&dir);
+    let misses = flip_sweep(&dir, CHECKPOINT_FILE, is_bad_checkpoint);
     assert!(misses.is_empty(), "checkpoint flips not refused:\n{}", misses.join("\n"));
+}
+
+#[test]
+fn every_checkpoint_cut_is_refused() {
+    let dir = scratch("checkpoint-cut");
+    checkpointed_stream(&dir);
+    let path = dir.join(CHECKPOINT_FILE);
+    let pristine = fs::read(&path).unwrap();
+    let mut misses = Vec::new();
+    for cut in 0..pristine.len() {
+        fs::write(&path, &pristine[..cut]).unwrap();
+        match recover(&dir) {
+            Err(e) if is_bad_checkpoint(&e) => {}
+            other => misses.push(format!("cut {cut}: {other:?}")),
+        }
+    }
+    assert!(misses.is_empty(), "checkpoint cuts not refused:\n{}", misses.join("\n"));
+}
+
+#[test]
+fn a_swapped_log_and_checkpoint_are_refused_both_ways() {
+    let dir = scratch("swapped");
+    checkpointed_stream(&dir);
+    let (wal, checkpoint) = (dir.join(WAL_FILE), dir.join(CHECKPOINT_FILE));
+    let (log_bytes, checkpoint_bytes) = (fs::read(&wal).unwrap(), fs::read(&checkpoint).unwrap());
+    let recover_with = |log: &[u8], snapshot: &[u8]| {
+        fs::write(&wal, log).unwrap();
+        fs::write(&checkpoint, snapshot).unwrap();
+        recover(&dir).unwrap_err()
+    };
+    let err = recover_with(&checkpoint_bytes, &log_bytes);
+    assert!(is_bad_checkpoint(&err), "files exchanged: {err}");
+    let err = recover_with(&log_bytes, &log_bytes);
+    assert!(is_bad_checkpoint(&err), "the log as the checkpoint: {err}");
+    let err = recover_with(&checkpoint_bytes, &checkpoint_bytes);
+    assert!(
+        matches!(err, DurabilityError::BadRecord { seq: 1, .. }),
+        "the checkpoint as the log: {err}"
+    );
 }
 
 #[test]
